@@ -26,7 +26,7 @@ try:
     from numba import njit
 
     _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is the optional ``numba`` extra
     _HAVE_NUMBA = False
 
     def njit(*args, **kwargs):
@@ -62,10 +62,13 @@ def mul_table_numpy(elems):
 
 def closure_numpy(table, seed):
     """Indices of the subgroup generated by ``seed`` (identity included)."""
-    members = np.unique(np.concatenate([seed.astype(np.int64), [0]]))
+    member = np.zeros(table.shape[0], dtype=bool)
+    member[0] = True
+    member[seed] = True
+    members = np.flatnonzero(member)
     while True:
-        products = table[np.ix_(members, members)].ravel()
-        grown = np.union1d(members, products)
+        member[table[np.ix_(members, members)].ravel()] = True
+        grown = np.flatnonzero(member)
         if grown.size == members.size:
             return members
         members = grown

@@ -40,13 +40,17 @@ ENV_PREFIX = "SUNADALAB_"
 
 
 def _env(name, cast, fallback):
+    """Default for a flag from ``SUNADALAB_<name>``; a value that does not
+    parse is a ParseError, not a silent fallback."""
     raw = os.environ.get(ENV_PREFIX + name)
     if raw is None:
         return fallback
     try:
         return cast(raw)
-    except ValueError:
-        return fallback
+    except ValueError as exc:
+        raise ParseError(
+            f"{ENV_PREFIX}{name}={raw!r} is not a valid {cast.__name__}"
+        ) from exc
 
 
 def round15(x):
@@ -295,7 +299,8 @@ def _add_common(p):
                    help="flat-model truncation index")
     p.add_argument("--budget", type=int,
                    default=_env("BUDGET", int, DEFAULT_SUBGROUP_BUDGET),
-                   help="closure budget for subgroup searches")
+                   help="closure budget for subgroup searches: one closure "
+                        "per right-coset representative tried")
     p.add_argument("--max-order", dest="max_order", type=int,
                    default=_env("MAX_ORDER", int, DEFAULT_MAX_ORDER),
                    help="largest group order to enumerate")
@@ -363,9 +368,8 @@ _EXIT_CODES = (
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SunadaLabError as exc:
         code = 1

@@ -26,7 +26,7 @@ from .permgrp import (
     Subgroup,
     are_conjugate_subgroups,
     conjugacy_classes,
-    conjugate_subgroup,
+    conjugate_by_all,
     subgroups_of_order,
 )
 
@@ -169,17 +169,11 @@ def _dedup_orbits(G, pairs):
     seen = set()
     kept = []
     for H1, H2 in pairs:
-        key = min(
-            tuple(
-                sorted(
-                    (
-                        conjugate_subgroup(G, H1, g).elements,
-                        conjugate_subgroup(G, H2, g).elements,
-                    )
-                )
-            )
-            for g in range(G.order)
+        orbit = zip(
+            map(tuple, conjugate_by_all(G, H1).T.tolist()),
+            map(tuple, conjugate_by_all(G, H2).T.tolist()),
         )
+        key = min(tuple(sorted(pair)) for pair in orbit)
         if key not in seen:
             seen.add(key)
             kept.append((H1, H2))

@@ -364,58 +364,60 @@ def conjugate_subgroup(G, H, g):
     return Subgroup(parent=G, elements=tuple(int(i) for i in np.sort(conj)))
 
 
+def conjugate_by_all(G, H):
+    """Column g holds the sorted elements of g H g^{-1}; shape |H| x |G|."""
+    g = np.arange(G.order)
+    table = G.table
+    conj = table[g, table[H.indices()[:, None], G.inverses[g]]]
+    return np.sort(conj, axis=0)
+
+
 def are_conjugate_subgroups(G, H1, H2):
     """True iff some inner automorphism maps H1 onto H2 as a set."""
     _check_subgroup(G, H1)
     _check_subgroup(G, H2)
     if H1.order != H2.order:
         return False
-    target = np.asarray(H2.elements, dtype=np.int64)
-    h1 = H1.indices()
-    for g in range(G.order):
-        conj = np.sort(G.table[g, G.table[h1, G.inv(g)]])
-        if np.array_equal(conj, target):
-            return True
-    return False
+    target = H2.indices()[:, None]
+    return bool(np.any(np.all(conjugate_by_all(G, H1) == target, axis=0)))
 
 
-def _grow_subgroups(G, keep_order, budget):
-    """DFS over closed subsets, adding one generator at a time.
+def _enumerate_subgroups(G, record, grow, budget):
+    """DFS over the subgroup lattice from the trivial subgroup.
 
-    ``keep_order``: predicate on a subgroup order saying whether to record
-    it; growth is pruned to orders dividing ``G.order`` (and dividing the
-    target order when searching for a fixed order).  The budget counts
-    closure computations.
+    Each subgroup H whose order passes ``grow`` is extended to <H, g> for
+    one g in every right coset Hg other than H itself, which is enough
+    because <H, g> = <H, hg>.  Subgroups whose order passes ``record`` are
+    returned, sorted.  The budget counts closure computations, one per
+    coset representative tried.
     """
     table = G.table
     trivial = (0,)
     visited = {trivial}
-    found = {} if not keep_order(1) else {trivial: None}
-    stack = [trivial]
+    found = [trivial] if record(1) else []
+    stack = [trivial] if grow(1) else []
     closures = 0
     while stack:
-        current = stack.pop()
-        cur_set = set(current)
+        current = np.asarray(stack.pop(), dtype=np.int64)
+        covered = np.zeros(G.order, dtype=bool)
+        covered[current] = True
         for g in range(1, G.order):
-            if g in cur_set:
+            if covered[g]:
                 continue
+            covered[table[current, g]] = True
             closures += 1
             if closures > budget:
                 raise BudgetExceededError(
                     f"subgroup enumeration exceeded budget of {budget} closures"
                 )
-            grown = tuple(
-                int(i)
-                for i in _kernels.closure(
-                    table, np.asarray(current + (g,), dtype=np.int64)
-                )
-            )
+            grown = tuple(_kernels.closure(table, np.append(current, g)).tolist())
             if grown in visited:
                 continue
             visited.add(grown)
-            if keep_order(len(grown)):
-                found[grown] = None
-            stack.append(grown)
+            if record(len(grown)):
+                found.append(grown)
+            if grow(len(grown)):
+                stack.append(grown)
     return [Subgroup(parent=G, elements=e) for e in sorted(found)]
 
 
@@ -423,49 +425,22 @@ def subgroups_of_order(G, m, budget=DEFAULT_SUBGROUP_BUDGET):
     """All subgroups of order m, deduplicated, in deterministic order.
 
     Non-divisors of |G| yield an empty list (Lagrange), not an error.
+    Growth is pruned to proper divisors of m: by Lagrange every subgroup
+    on the way up to an order-m subgroup has such an order.
     """
     if m < 1 or G.order % m:
         return []
-    if m == 1:
-        return [Subgroup(parent=G, elements=(0,))]
-    # prune growth to subgroups whose order divides m (they sit inside a
-    # candidate of order m by Lagrange), plus the trivial start
-    table = G.table
-    visited = {(0,)}
-    found = set()
-    stack = [(0,)]
-    closures = 0
-    while stack:
-        current = stack.pop()
-        cur_set = set(current)
-        for g in range(1, G.order):
-            if g in cur_set:
-                continue
-            closures += 1
-            if closures > budget:
-                raise BudgetExceededError(
-                    f"subgroup search exceeded budget of {budget} closures"
-                )
-            grown = tuple(
-                int(i)
-                for i in _kernels.closure(
-                    table, np.asarray(current + (g,), dtype=np.int64)
-                )
-            )
-            if grown in visited or len(grown) > m or m % len(grown):
-                continue
-            visited.add(grown)
-            if len(grown) == m:
-                found.add(grown)
-            else:
-                stack.append(grown)
-    return [Subgroup(parent=G, elements=e) for e in sorted(found)]
+    return _enumerate_subgroups(
+        G, lambda n: n == m, lambda n: n < m and m % n == 0, budget
+    )
 
 
 def all_subgroups(G, budget=DEFAULT_SUBGROUP_BUDGET):
     """Every subgroup of G, deterministic order; cached on the group."""
     if G._all_subgroups is None:
-        G._all_subgroups = _grow_subgroups(G, lambda n: True, budget)
+        G._all_subgroups = _enumerate_subgroups(
+            G, lambda n: True, lambda n: True, budget
+        )
     return G._all_subgroups
 
 

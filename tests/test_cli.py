@@ -275,6 +275,18 @@ def test_env_overrides(tmp_path, capsys, monkeypatch):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "var, value", [("SUNADALAB_SEED", "abc"), ("SUNADALAB_BUDGET", "x")]
+)
+def test_bad_env_value_exit_code(capsys, monkeypatch, var, value):
+    monkeypatch.setenv(var, value)
+    code, report = run_cli(["group-info", S3], capsys)
+    assert code == 2
+    assert report["error"]["type"] == "ParseError"
+    assert report["error"]["exit_code"] == 2
+    assert var in report["error"]["message"]
+
+
 def test_console_script_smoke():
     exe = shutil.which("sunadalab")
     if exe is None:

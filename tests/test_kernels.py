@@ -1,7 +1,10 @@
-"""Backend parity: the numba kernels must agree with the numpy ones."""
+"""Kernel tests: the numpy kernels against the plain-Python oracles, and
+backend parity with the numba kernels when numba is importable."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sunadalab import _kernels as K
 
@@ -61,6 +64,23 @@ def test_closure_is_a_subgroup(s4_images):
     for i in mset:
         for j in mset:
             assert int(table[i, j]) in mset
+
+
+@pytest.mark.parametrize("name", ["s4", "aff8"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_closure_matches_oracle(groups, name, data):
+    images = np.array([g.images for g in groups[name].elements], dtype=np.int32)
+    table = K.mul_table_numpy(images)
+    seed = data.draw(
+        st.lists(st.integers(0, len(images) - 1), min_size=1, max_size=3)
+    )
+    got = K.closure_numpy(table, np.array(seed, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert list(got) == sorted(set(got.tolist()))
+    elems = set(map(tuple, images.tolist()))
+    expect = oracles.subgroup_closure(elems, [tuple(images[i]) for i in seed])
+    assert {tuple(images[i]) for i in got} == expect
 
 
 @pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")

@@ -13,8 +13,10 @@ from sunadalab.errors import (
 )
 from sunadalab.permgrp import (
     Permutation,
+    conjugate_by_all,
     conjugate_subgroup,
     generate_group,
+    parse_cycles,
     parse_group_text,
     parse_subgroup_text,
 )
@@ -169,6 +171,13 @@ def test_subgroup_budget(aff8):
         sl.subgroups_of_order(aff8, 4, budget=5)
 
 
+def test_s5_has_156_subgroups():
+    G = generate_group(
+        5, [parse_cycles("(0 1 2 3 4)", 5), parse_cycles("(0 1)", 5)]
+    )
+    assert len(sl.all_subgroups(G)) == 156
+
+
 def test_are_conjugate(s3, aff8_triple):
     a = sl.subgroup_generate(s3, [s3.index_of(sl.parse_cycles("(0 1)", 3))])
     b = sl.subgroup_generate(s3, [s3.index_of(sl.parse_cycles("(1 2)", 3))])
@@ -182,6 +191,22 @@ def test_conjugate_subgroup_is_conjugate(s4):
     K = conjugate_subgroup(s4, H, 10)
     assert sl.are_conjugate_subgroups(s4, H, K)
     assert K.order == H.order
+
+
+def test_conjugate_by_all_matches_each_conjugate(s4):
+    subs = sl.all_subgroups(s4)
+    orbits = {}
+    for H in subs:
+        conj = conjugate_by_all(s4, H)
+        assert conj.shape == (H.order, s4.order)
+        expect = [conjugate_subgroup(s4, H, g).elements for g in range(s4.order)]
+        assert [tuple(col) for col in conj.T.tolist()] == expect
+        orbits[H.elements] = set(expect)
+    for H1 in subs:
+        for H2 in subs:
+            assert sl.are_conjugate_subgroups(s4, H1, H2) == (
+                H2.elements in orbits[H1.elements]
+            )
 
 
 # --- coset spaces ------------------------------------------------------------
@@ -277,3 +302,24 @@ def test_lagrange_and_class_equation(gens, data):
     assert sum(cc.class_sizes) == G.order
     for c, rep in enumerate(cc.representatives):
         assert cc.class_of[rep] == c
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(perm_strategy, min_size=1, max_size=3))
+def test_all_subgroups_match_oracle(gens):
+    G = generate_group(4, [Permutation(g) for g in gens])
+    subs = sl.all_subgroups(G)
+    got = {frozenset(p.images for p in H.permutations()) for H in subs}
+    assert len(got) == len(subs)
+    assert got == oracles.all_subgroups(p.images for p in G.elements)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(perm_strategy, min_size=1, max_size=3))
+def test_subgroups_of_order_match_all_subgroups(gens):
+    G = generate_group(4, [Permutation(g) for g in gens])
+    everything = sl.all_subgroups(G)
+    for m in range(1, G.order + 1):
+        if G.order % m == 0:
+            expect = [H.elements for H in everything if H.order == m]
+            assert [H.elements for H in sl.subgroups_of_order(G, m)] == expect
