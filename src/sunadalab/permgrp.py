@@ -150,7 +150,7 @@ class PermutationGroup:
 
     ``elements[0]`` is the identity.  ``table[i, j]`` indexes the
     composition ``elements[i] * elements[j]``; it and the inverse array
-    are built lazily through the kernel backend.
+    are built lazily on first use.
     """
 
     def __init__(self, degree, generators, elements):

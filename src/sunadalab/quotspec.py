@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -116,33 +117,46 @@ class GSpace:
     def n(self):
         return self.graph.n
 
+    @cached_property
+    def laplacian_eigh(self):
+        """(eigenvalues, orthonormal eigenvectors) of the Laplacian,
+        computed once and shared by every spectral routine."""
+        return np.linalg.eigh(laplacian(self.graph))
+
 
 def gspace(G, graph, vertex_perms):
     """Validate and bundle an action given as one vertex permutation per
-    group element."""
+    group element.
+
+    The homomorphism property and weight preservation are checked on the
+    group's generators.  If rho(s g) = rho(s) rho(g) for every generator s
+    and every g, and the identity acts trivially, then rho is a
+    homomorphism by induction on the word length of the left factor; every
+    rho(g) is then a product of generator permutations, so it preserves
+    the weights when the generators do.
+    """
     perms = np.asarray(vertex_perms, dtype=np.int64)
     if perms.shape != (G.order, graph.n):
         raise PreconditionError(
             f"action table has shape {perms.shape}, expected {(G.order, graph.n)}"
         )
     ident = np.arange(graph.n)
-    for g in range(G.order):
-        if not np.array_equal(np.sort(perms[g]), ident):
-            raise PreconditionError(f"row {g} of the action is not a permutation")
+    not_perm = np.flatnonzero((np.sort(perms, axis=1) != ident).any(axis=1))
+    if not_perm.size:
+        raise PreconditionError(f"row {not_perm[0]} of the action is not a permutation")
     if not np.array_equal(perms[0], ident):
         raise PreconditionError("identity element must act as the identity")
     table = G.table
-    for i in range(G.order):
-        if not np.array_equal(perms[table[i]], perms[i][perms]):
-            raise PreconditionError(
-                f"action is not a homomorphism at element {i}"
-            )
     w = graph.weights
-    for g in range(1, G.order):
-        p = perms[g]
+    for s in sorted({G.index_of(gen) for gen in G.generators}):
+        p = perms[s]
+        if not np.array_equal(perms[table[s]], p[perms]):
+            raise PreconditionError(
+                f"action is not a homomorphism at generator {s}"
+            )
         if not np.array_equal(w[np.ix_(p, p)], w):
             raise PreconditionError(
-                f"element {g} does not preserve the edge weights"
+                f"element {s} does not preserve the edge weights"
             )
     return GSpace(group=G, graph=graph, vertex_perms=perms)
 
@@ -246,24 +260,20 @@ def random_invariant_weights(perms, n, seed=0, keep_prob=0.7):
 
 def _pair_orbits(perms, n):
     """Orbit index of each off-diagonal vertex pair under the action and
-    the swap (u, v) -> (v, u); the diagonal is marked -1."""
+    the swap (u, v) -> (v, u); the diagonal is marked -1.
+
+    ``perms`` lists every group element, so the smallest code u*n + v in
+    the orbit of (u, v) is a minimum over the rows and the swap.  Orbits
+    are numbered by that code, which is the order in which a row-major
+    scan of the pairs first reaches them.
+    """
+    code = np.full((n, n), n * n, dtype=np.int64)
+    for p in np.asarray(perms, dtype=np.int64):
+        np.minimum(code, p[:, None] * n + p[None, :], out=code)
+    code = np.minimum(code, code.T)
+    off_diagonal = ~np.eye(n, dtype=bool)
     orbit = np.full((n, n), -1, dtype=np.int64)
-    next_id = 0
-    rows = [np.asarray(p, dtype=np.int64) for p in perms]
-    for x in range(n):
-        for y in range(n):
-            if x == y or orbit[x, y] >= 0:
-                continue
-            stack = [(x, y)]
-            orbit[x, y] = next_id
-            while stack:
-                u, v = stack.pop()
-                candidates = [(v, u)] + [(int(p[u]), int(p[v])) for p in rows]
-                for uu, vv in candidates:
-                    if orbit[uu, vv] < 0:
-                        orbit[uu, vv] = next_id
-                        stack.append((uu, vv))
-            next_id += 1
+    orbit[off_diagonal] = np.unique(code[off_diagonal], return_inverse=True)[1]
     return orbit
 
 
@@ -370,6 +380,17 @@ def invariant_spectrum(space, H=None, cluster_tol=None):
     return cluster_eigenvalues(values, cluster_tol)
 
 
+def _orbit_basis(space, H):
+    """Normalized indicators of the H-orbits on the vertices, as the
+    columns of an n x k matrix: an orthonormal basis of the H-invariant
+    functions."""
+    orbits = vertex_orbits(space, H)
+    basis = np.zeros((space.n, len(orbits)))
+    for a, orb in enumerate(orbits):
+        basis[list(orb), a] = 1.0 / np.sqrt(len(orb))
+    return basis
+
+
 def vertex_orbits(space, H=None):
     """Orbits of H (default: the whole group) on the vertex set, each a
     sorted tuple, listed by minimal vertex."""
@@ -413,20 +434,13 @@ def quotient_graph(space, H=None):
             "the action has a fixed vertex; the quotient is not a graph, "
             "use invariant_spectrum instead"
         )
-    orbits = vertex_orbits(space, H)
-    k = len(orbits)
-    w = space.graph.weights
-    q = np.zeros((k, k))
-    for a, orb_a in enumerate(orbits):
-        rep = orb_a[0]
-        for b, orb_b in enumerate(orbits):
-            if a != b:
-                q[a, b] = w[rep, list(orb_b)].sum()
-    if not np.array_equal(q, q.T):
-        # row sums over a full orbit are representative-independent, so any
-        # asymmetry is a float artifact
-        q = (q + q.T) / 2.0
-    return weighted_graph(q)
+    # with orbits of equal size |H|, (B^T W B)[a, b] is the weight from one
+    # vertex of orbit a into all of orbit b
+    basis = _orbit_basis(space, H)
+    q = basis.T @ space.graph.weights @ basis
+    np.fill_diagonal(q, 0.0)
+    # the product is symmetric up to rounding; make it exactly so
+    return weighted_graph((q + q.T) / 2.0)
 
 
 def _check_acting_subgroup(space, H):
@@ -458,48 +472,35 @@ class IsotypicTable:
         return tuple(int(r) for r in np.nonzero(self.counts[c])[0])
 
 
-def _eigenspace_projectors(space, cluster_tol):
-    lap = laplacian(space.graph)
-    values, vectors = np.linalg.eigh(lap)
+def _eigenspaces(space, cluster_tol):
+    """Clustered Laplacian spectrum and the eigenvector block V_c of each
+    cluster, both from the G-space's one eigendecomposition."""
+    values, vectors = space.laplacian_eigh
     decomp = cluster_eigenvalues(values, cluster_tol)
-    projs = []
-    start = 0
-    for _, m in decomp.clusters:
-        block = vectors[:, start : start + m]
-        projs.append(block @ block.T)
-        start += m
-    return decomp, projs
-
-
-def _class_traces(space, proj):
-    """Trace of (action of one representative per class) restricted to the
-    range of ``proj``; a class function because the projector commutes
-    with the action."""
-    cc = conjugacy_classes(space.group)
-    idx = np.arange(space.n)
-    traces = []
-    for rep in cc.representatives:
-        p = space.vertex_perms[rep]
-        traces.append(complex(proj[idx, p].sum()))
-    return np.asarray(traces)
+    mults = decomp.multiplicities()
+    blocks = [vectors[:, end - m : end] for end, m in zip(np.cumsum(mults), mults)]
+    return decomp, blocks
 
 
 def isotypic_multiplicities(space, ct=None, cluster_tol=None, tol=MULT_TOL):
     """Decompose each eigenspace of the Laplacian into irreducibles.
 
-    Multiplicities are computed from traces of group elements on the
-    eigenspace projectors and must come out as non-negative integers;
-    each cluster's dimension must equal the degree-weighted sum of its
-    multiplicities.
+    Multiplicities are computed from the traces of one representative per
+    conjugacy class on each eigenspace and must come out as non-negative
+    integers; each cluster's dimension must equal the degree-weighted sum
+    of its multiplicities.
     """
     if ct is None:
         ct = character_table(space.group)
-    decomp, projs = _eigenspace_projectors(space, cluster_tol)
+    decomp, blocks = _eigenspaces(space, cluster_tol)
     sizes = np.asarray(ct.partition.class_sizes, dtype=np.float64)
     order = space.group.order
-    counts = np.zeros((len(projs), ct.num_irreps), dtype=np.int64)
-    for c, proj in enumerate(projs):
-        traces = _class_traces(space, proj)
+    rep_perms = space.vertex_perms[list(conjugacy_classes(space.group).representatives)]
+    counts = np.zeros((len(blocks), ct.num_irreps), dtype=np.int64)
+    for c, block in enumerate(blocks):
+        # trace of g on span(V_c) = sum_v <V_c[g v], V_c[v]>; the eigenspace
+        # is invariant, so this is a class function
+        traces = np.einsum("gvi,vi->g", block[rep_perms], block)
         for r in range(ct.num_irreps):
             m = np.sum(sizes * np.conj(ct.table[r]) * traces) / order
             m_int = int(round(m.real))
@@ -606,6 +607,7 @@ def sunada_identity_check(space, H, K=None, ct=None, cluster_tol=None, tol=MULT_
     otherwise the comparison is not meaningful and a precondition error
     names the first offending irreducible.
     """
+    _check_acting_subgroup(space, H)
     G = space.group
     if K is None:
         K = subgroup_generate(G, [])
@@ -621,13 +623,12 @@ def sunada_identity_check(space, H, K=None, ct=None, cluster_tol=None, tol=MULT_
             "vector under the chosen K; the identity does not apply"
         )
     ind = induced_multiplicities(G, H, ct)
-    proj_h = averaging_projector(space, H)
-    decomp, projs = table.decomposition, None
-    # recompute eigenprojectors once; reuse the clustering from the table
-    _, projs = _eigenspace_projectors(space, table.decomposition.cluster_tol)
+    basis = _orbit_basis(space, H)
+    decomp, blocks = _eigenspaces(space, table.decomposition.cluster_tol)
     lhs, rhs = [], []
-    for c, proj in enumerate(projs):
-        raw = float(np.trace(proj_h @ proj).real)
+    for c, block in enumerate(blocks):
+        # dim of the H-invariant part of E_c = trace(P_H P_c) = |B^T V_c|_F^2
+        raw = float(np.sum((basis.T @ block) ** 2))
         val = int(round(raw))
         if val < 0 or abs(raw - val) > tol:
             raise NonIntegralError(
@@ -786,11 +787,7 @@ def cover_degree(space, H=None, t=1e-8):
     degree = space.n // len(orbits)
     quot = quotient_graph(space, H)
     t_grid = np.asarray([t], dtype=np.float64)
-    top = _kernels.heat_sum(
-        np.linalg.eigvalsh(laplacian(space.graph)),
-        np.ones(space.n),
-        t_grid,
-    )[0]
+    top = _kernels.heat_sum(space.laplacian_eigh[0], np.ones(space.n), t_grid)[0]
     bottom = _kernels.heat_sum(
         np.linalg.eigvalsh(laplacian(quot)), np.ones(quot.n), t_grid
     )[0]

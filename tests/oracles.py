@@ -105,3 +105,27 @@ def exact_inner_product(values_a, values_b, class_sizes, order):
         for n, a, b in zip(class_sizes, values_a, values_b)
     )
     return total / order
+
+
+def pair_orbits(perms, n):
+    """Orbit number of each off-diagonal vertex pair (u, v) under the rows
+    of ``perms`` and the swap (u, v) -> (v, u), found by search.  Orbits
+    are numbered in the row-major order in which the scan first reaches
+    them; the diagonal is -1.  Returns nested lists."""
+    rows = [[int(x) for x in p] for p in perms]
+    orbit = [[-1] * n for _ in range(n)]
+    next_id = 0
+    for x in range(n):
+        for y in range(n):
+            if x == y or orbit[x][y] >= 0:
+                continue
+            stack = [(x, y)]
+            orbit[x][y] = next_id
+            while stack:
+                u, v = stack.pop()
+                for uu, vv in [(v, u)] + [(p[u], p[v]) for p in rows]:
+                    if orbit[uu][vv] < 0:
+                        orbit[uu][vv] = next_id
+                        stack.append((uu, vv))
+            next_id += 1
+    return orbit

@@ -1,5 +1,4 @@
-"""Kernel tests: the numpy kernels against the plain-Python oracles, and
-backend parity with the numba kernels when numba is importable."""
+"""Kernel tests: the numpy kernels against the plain-Python oracles."""
 
 import numpy as np
 import pytest
@@ -9,8 +8,6 @@ from hypothesis import strategies as st
 from sunadalab import _kernels as K
 
 import oracles
-
-HAVE_NUMBA = K._HAVE_NUMBA
 
 
 def _images(group_elems):
@@ -24,7 +21,7 @@ def s4_images():
 
 
 def test_mul_table_matches_composition(s4_images):
-    table = K.mul_table_numpy(s4_images)
+    table = K.mul_table(s4_images)
     n = len(s4_images)
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -33,33 +30,15 @@ def test_mul_table_matches_composition(s4_images):
         assert tuple(s4_images[table[i, j]]) == expect
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-def test_mul_table_backend_parity(s4_images):
-    assert np.array_equal(
-        K.mul_table_numpy(s4_images), K.mul_table_numba(s4_images)
-    )
-
-
 def test_closure_identity_only(s4_images):
-    table = K.mul_table_numpy(s4_images)
-    got = K.closure_numpy(table, np.array([], dtype=np.int64))
+    table = K.mul_table(s4_images)
+    got = K.closure(table, np.array([], dtype=np.int64))
     assert list(got) == [0]
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-def test_closure_backend_parity(s4_images):
-    table = K.mul_table_numpy(s4_images)
-    rng = np.random.default_rng(1)
-    for _ in range(30):
-        seed = np.unique(rng.integers(0, len(s4_images), size=rng.integers(1, 4)))
-        a = K.closure_numpy(table, seed.astype(np.int64))
-        b = K.closure_numba(table, seed.astype(np.int64))
-        assert np.array_equal(a, b)
-
-
 def test_closure_is_a_subgroup(s4_images):
-    table = K.mul_table_numpy(s4_images)
-    members = K.closure_numpy(table, np.array([1, 5], dtype=np.int64))
+    table = K.mul_table(s4_images)
+    members = K.closure(table, np.array([1, 5], dtype=np.int64))
     mset = set(int(x) for x in members)
     for i in mset:
         for j in mset:
@@ -71,11 +50,11 @@ def test_closure_is_a_subgroup(s4_images):
 @given(data=st.data())
 def test_closure_matches_oracle(groups, name, data):
     images = np.array([g.images for g in groups[name].elements], dtype=np.int32)
-    table = K.mul_table_numpy(images)
+    table = K.mul_table(images)
     seed = data.draw(
         st.lists(st.integers(0, len(images) - 1), min_size=1, max_size=3)
     )
-    got = K.closure_numpy(table, np.array(seed, dtype=np.int64))
+    got = K.closure(table, np.array(seed, dtype=np.int64))
     assert got.dtype == np.int64
     assert list(got) == sorted(set(got.tolist()))
     elems = set(map(tuple, images.tolist()))
@@ -83,25 +62,13 @@ def test_closure_matches_oracle(groups, name, data):
     assert {tuple(images[i]) for i in got} == expect
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-def test_conjugacy_backend_parity(s4_images):
-    table = K.mul_table_numpy(s4_images)
-    inv = np.empty(len(s4_images), dtype=np.int64)
-    index = {tuple(r): i for i, r in enumerate(map(tuple, s4_images))}
-    for i, row in enumerate(map(tuple, s4_images)):
-        inv[i] = index[oracles.inverse(row)]
-    a = K.conjugacy_partition_numpy(table, inv)
-    b = K.conjugacy_partition_numba(table, inv)
-    assert np.array_equal(a, b)
-
-
 def test_conjugacy_against_bruteforce(s4_images):
-    table = K.mul_table_numpy(s4_images)
+    table = K.mul_table(s4_images)
     index = {tuple(r): i for i, r in enumerate(map(tuple, s4_images))}
     inv = np.array(
         [index[oracles.inverse(tuple(r))] for r in s4_images], dtype=np.int64
     )
-    class_of = K.conjugacy_partition_numpy(table, inv)
+    class_of = K.conjugacy_partition(table, inv)
     got = {
         frozenset(tuple(s4_images[i]) for i in np.nonzero(class_of == c)[0])
         for c in range(class_of.max() + 1)
@@ -114,27 +81,6 @@ def test_heat_sum_matches_direct():
     values = np.array([0.0, 1.0, 4.0])
     mults = np.array([1.0, 2.0, 1.0])
     t = np.array([0.1, 1.0, 10.0])
-    got = K.heat_sum_numpy(values, mults, t)
+    got = K.heat_sum(values, mults, t)
     expect = np.array([np.sum(mults * np.exp(-values * tt)) for tt in t])
     assert np.allclose(got, expect, rtol=0, atol=1e-15)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-def test_heat_sum_backend_parity():
-    rng = np.random.default_rng(2)
-    values = np.sort(rng.uniform(0, 30, size=200))
-    mults = rng.integers(1, 4, size=200).astype(np.float64)
-    t = np.geomspace(1e-4, 10, 17)
-    a = K.heat_sum_numpy(values, mults, t)
-    b = K.heat_sum_numba(values, mults, t)
-    assert np.allclose(a, b, rtol=1e-13, atol=1e-13)
-
-
-def test_backend_env_selection(monkeypatch):
-    monkeypatch.setenv("SUNADALAB_BACKEND", "bogus")
-    with pytest.raises(ValueError):
-        K._pick_backend()
-    monkeypatch.setenv("SUNADALAB_BACKEND", "numpy")
-    assert K._pick_backend() == "numpy"
-    monkeypatch.delenv("SUNADALAB_BACKEND")
-    assert K._pick_backend() in ("numba", "numpy")

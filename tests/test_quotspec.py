@@ -12,6 +12,8 @@ from sunadalab.errors import (
     PreconditionError,
 )
 
+import oracles
+
 
 def _cycle_weights(n):
     w = np.zeros((n, n))
@@ -103,6 +105,23 @@ def test_gspace_validates_homomorphism(s3):
         qs.gspace(s3, graph, bad)
 
 
+@pytest.mark.parametrize("name", ["s3", "aff8"])
+def test_gspace_rejects_each_corrupted_row(groups, name):
+    # gspace checks the homomorphism property on the generator rows only;
+    # a changed row of any other element must still be rejected
+    G = groups[name]
+    space = qs.cayley_graph(G)
+    assert len(G.generators) < G.order - 1
+    for g in range(1, G.order):
+        swapped = space.vertex_perms.copy()
+        swapped[g, [0, 1]] = swapped[g, [1, 0]]
+        repeated = space.vertex_perms.copy()
+        repeated[g, 0] = repeated[g, 1]
+        for bad in (swapped, repeated):
+            with pytest.raises(PreconditionError):
+                qs.gspace(G, space.graph, bad)
+
+
 def test_gspace_validates_weight_preservation(z6):
     w = _cycle_weights(6)
     w[0, 1] = w[1, 0] = 2.0  # break the symmetry of the cycle
@@ -188,6 +207,44 @@ def test_averaging_projector_is_projector(aff8_triple):
     assert np.allclose(p @ p, p, atol=1e-12)
     assert np.allclose(p, p.T, atol=1e-12)
     assert abs(np.trace(p) - space.n / h1.order) < 1e-9
+
+
+def _psl32():
+    return sl.generate_group(
+        7, [sl.parse_cycles("(0 1 2 3 4 5 6)", 7), sl.parse_cycles("(2 4)(5 6)", 7)]
+    )
+
+
+def test_pair_orbits_match_search_oracle(groups):
+    spaces = [qs.cayley_graph(_psl32())]
+    for name in ("s4", "aff8"):
+        G = groups[name]
+        subs = sl.all_subgroups(G)
+        spaces += [qs.coset_gspace(G, [H]) for H in subs[:: max(1, len(subs) // 6)]]
+        spaces.append(qs.coset_gspace(G, [subs[0], subs[-1], subs[len(subs) // 2]]))
+    for space in spaces:
+        got = qs._pair_orbits(space.vertex_perms, space.n)
+        assert got.tolist() == oracles.pair_orbits(space.vertex_perms, space.n)
+
+
+def test_one_laplacian_eigh_per_gspace(monkeypatch, aff8_triple):
+    G, h1, h2 = aff8_triple
+    space = qs.cayley_graph(G)
+    lap = qs.laplacian(space.graph)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    qs.isotypic_multiplicities(space)
+    assert qs.sunada_identity_check(space, h1)
+    assert qs.sunada_identity_check(space, h2)
+    assert qs.donnelly_support(space)
+    on_laplacian = [a for a in calls if a.shape == lap.shape and np.array_equal(a, lap)]
+    assert len(on_laplacian) == 1
 
 
 def test_perturbation_preserves_invariance(aff8_triple):
@@ -419,3 +476,29 @@ def test_invariant_dim_is_orbit_count(seed):
     whole = sl.subgroup_from_indices(s3, range(6))
     inv = qs.invariant_spectrum(space, whole)
     assert inv.dim == len(qs.vertex_orbits(space))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3, 5), st.data())
+def test_cayley_graph_identity_support_and_quotient(n, data):
+    perm = st.permutations(list(range(n)))
+    gens = data.draw(st.lists(perm, min_size=1, max_size=3))
+    G = sl.generate_group(n, [sl.Permutation(g) for g in gens])
+    weights = {}
+    for s in sorted({G.index_of(sl.Permutation(g)) for g in gens} - {0}):
+        if G.inv(s) not in weights:
+            weights[s] = data.draw(st.floats(0.25, 2.0))
+    space = qs.cayley_graph(G, list(weights), weights)
+    seed = data.draw(st.lists(st.integers(0, G.order - 1), max_size=2))
+    H = sl.subgroup_generate(G, seed)
+
+    rep = qs.sunada_identity_check(space, H)
+    assert rep.holds
+    assert rep.invariant_dims == rep.induced_sums
+    assert qs.donnelly_support(space).law_holds
+    # left translation on a Cayley graph is free
+    assert qs.is_free(space, H)
+    quotient = qs.spectrum(qs.quotient_graph(space, H)).values
+    invariant = qs.invariant_spectrum(space, H).values
+    assert len(quotient) == len(invariant) == G.order // H.order
+    assert np.max(np.abs(quotient - invariant)) < 1e-9
