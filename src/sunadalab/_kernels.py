@@ -23,32 +23,80 @@ def _row_index_map(elems):
     return {e[i].tobytes(): i for i in range(e.shape[0])}
 
 
-def mul_table(elems):
-    """Composition table for a closed, sorted element matrix."""
+def mul_table(elems, gens):
+    """Composition table for a closed, sorted element matrix.
+
+    ``gens`` are the indices of elements that generate the group.  Only
+    their rows are looked up; the rest follow by a breadth-first search
+    from the identity, because left multiplication by s ∘ x is left
+    multiplication by x followed by s: ``table[s∘x] = table[s][table[x]]``.
+    """
     e = np.ascontiguousarray(elems, dtype=np.int32)
     n = e.shape[0]
     lookup = _row_index_map(e)
+    # gen_rows[k][b] = index of elems[gens[k]] ∘ elems[b]
+    gen_rows = [
+        np.array([lookup[row.tobytes()] for row in e[s][e]], dtype=np.int32)
+        for s in gens
+    ]
     table = np.empty((n, n), dtype=np.int32)
-    for a in range(n):
-        rows = e[a][e]  # rows[b] = elems[a] ∘ elems[b]
-        row_bytes = np.ascontiguousarray(rows)
-        for b in range(n):
-            table[a, b] = lookup[row_bytes[b].tobytes()]
+    table[0] = np.arange(n)
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    queue = [0]
+    for x in queue:  # the queue grows while it is walked
+        for row in gen_rows:
+            y = row[x]
+            if not reached[y]:
+                reached[y] = True
+                table[y] = row[table[x]]
+                queue.append(y)
+    if len(queue) < n:
+        raise ValueError(f"generators reach {len(queue)} of {n} elements")
     return table
 
 
-def closure(table, seed):
-    """Indices of the subgroup generated by ``seed`` (identity included)."""
+def closure(table, gens, base=None, limit=None):
+    """Sorted indices of the subgroup generated by ``gens`` (identity included).
+
+    Coset extension (Dimino's algorithm): K = <H, g> is kept as a union of
+    right cosets Hx, starting from H.  Each coset representative x is
+    multiplied on the right by each generator s of K; since (Hx)s = H(xs),
+    a product outside K adds its whole coset in one ``table[H, xs]``
+    gather.  A union of right cosets of H that contains H and is closed
+    under right multiplication by the generators is K.
+
+    With ``base`` (the element indices of the subgroup generated by
+    ``gens[:-1]``) only the last generator is added; without it the generators are added one at a
+    time from the trivial subgroup.  Once the subgroup being built has
+    more than ``limit`` elements the kernel stops and returns an empty
+    array.
+    """
+    gens = np.asarray(gens, dtype=np.int64)
+    limit = table.shape[0] if limit is None else limit
+    if base is not None:
+        return _extend(table, np.asarray(base, dtype=np.int64), gens, limit)
+    members = np.zeros(1, dtype=np.int64)
+    for k in range(gens.size):
+        members = _extend(table, members, gens[: k + 1], limit)
+        if members.size == 0:
+            break
+    return members
+
+
+def _extend(table, H, gens, limit):
+    """<H, gens[-1]> for H = <gens[:-1]>, or an empty array past ``limit``."""
     member = np.zeros(table.shape[0], dtype=bool)
-    member[0] = True
-    member[seed] = True
-    members = np.flatnonzero(member)
-    while True:
-        member[table[np.ix_(members, members)].ravel()] = True
-        grown = np.flatnonzero(member)
-        if grown.size == members.size:
-            return members
-        members = grown
+    member[H] = True
+    reps = [0]
+    for x in reps:  # the representatives grow while they are walked
+        for y in table[x, gens].tolist():
+            if not member[y]:
+                member[table[H, y]] = True
+                reps.append(y)
+        if H.size * len(reps) > limit:
+            return np.empty(0, dtype=np.int64)
+    return np.flatnonzero(member)
 
 
 def conjugacy_partition(table, inv):

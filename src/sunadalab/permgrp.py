@@ -170,7 +170,8 @@ class PermutationGroup:
     @property
     def table(self):
         if self._table is None:
-            self._table = _kernels.mul_table(self._images)
+            gens = [self.index_of(g) for g in self.generators]
+            self._table = _kernels.mul_table(self._images, gens)
         return self._table
 
     @property
@@ -382,23 +383,27 @@ def are_conjugate_subgroups(G, H1, H2):
     return bool(np.any(np.all(conjugate_by_all(G, H1) == target, axis=0)))
 
 
-def _enumerate_subgroups(G, record, grow, budget):
+def _enumerate_subgroups(G, record, grow, budget, limit):
     """DFS over the subgroup lattice from the trivial subgroup.
 
     Each subgroup H whose order passes ``grow`` is extended to <H, g> for
     one g in every right coset Hg other than H itself, which is enough
     because <H, g> = <H, hg>.  Subgroups whose order passes ``record`` are
-    returned, sorted.  The budget counts closure computations, one per
-    coset representative tried.
+    returned, sorted.  Neither predicate may pass an order above
+    ``limit``: the closure of <H, g> stops once it outgrows the limit.
+    The budget counts closure computations, one per coset representative
+    tried.  The stack keeps each subgroup's generators, the g's along
+    its path, for the coset extension.
     """
     table = G.table
     trivial = (0,)
     visited = {trivial}
     found = [trivial] if record(1) else []
-    stack = [trivial] if grow(1) else []
+    stack = [(trivial, [])] if grow(1) else []
     closures = 0
     while stack:
-        current = np.asarray(stack.pop(), dtype=np.int64)
+        elements, gens = stack.pop()
+        current = np.asarray(elements, dtype=np.int64)
         covered = np.zeros(G.order, dtype=bool)
         covered[current] = True
         for g in range(1, G.order):
@@ -410,14 +415,14 @@ def _enumerate_subgroups(G, record, grow, budget):
                 raise BudgetExceededError(
                     f"subgroup enumeration exceeded budget of {budget} closures"
                 )
-            grown = tuple(_kernels.closure(table, np.append(current, g)).tolist())
-            if grown in visited:
+            grown = tuple(_kernels.closure(table, gens + [g], current, limit).tolist())
+            if not grown or grown in visited:  # empty: outgrew the limit
                 continue
             visited.add(grown)
             if record(len(grown)):
                 found.append(grown)
             if grow(len(grown)):
-                stack.append(grown)
+                stack.append((grown, gens + [g]))
     return [Subgroup(parent=G, elements=e) for e in sorted(found)]
 
 
@@ -426,12 +431,13 @@ def subgroups_of_order(G, m, budget=DEFAULT_SUBGROUP_BUDGET):
 
     Non-divisors of |G| yield an empty list (Lagrange), not an error.
     Growth is pruned to proper divisors of m: by Lagrange every subgroup
-    on the way up to an order-m subgroup has such an order.
+    on the way up to an order-m subgroup has such an order.  A closure
+    stops as soon as it has more than m elements.
     """
     if m < 1 or G.order % m:
         return []
     return _enumerate_subgroups(
-        G, lambda n: n == m, lambda n: n < m and m % n == 0, budget
+        G, lambda n: n == m, lambda n: n < m and m % n == 0, budget, m
     )
 
 
@@ -439,7 +445,7 @@ def all_subgroups(G, budget=DEFAULT_SUBGROUP_BUDGET):
     """Every subgroup of G, deterministic order; cached on the group."""
     if G._all_subgroups is None:
         G._all_subgroups = _enumerate_subgroups(
-            G, lambda n: True, lambda n: True, budget
+            G, lambda n: True, lambda n: True, budget, G.order
         )
     return G._all_subgroups
 

@@ -10,34 +10,45 @@ from sunadalab import _kernels as K
 import oracles
 
 
+S4_GENS = [(1, 2, 3, 0), (1, 0, 2, 3)]
+
+
 def _images(group_elems):
     return np.array(sorted(group_elems), dtype=np.int32)
 
 
+def _table(images, gen_images):
+    index = {tuple(row): i for i, row in enumerate(images.tolist())}
+    return K.mul_table(images, [index[tuple(g)] for g in gen_images])
+
+
 @pytest.fixture(scope="module")
 def s4_images():
-    gens = [(1, 2, 3, 0), (1, 0, 2, 3)]
-    return _images(oracles.closure(gens, 4))
+    return _images(oracles.closure(S4_GENS, 4))
 
 
 def test_mul_table_matches_composition(s4_images):
-    table = K.mul_table(s4_images)
+    table = _table(s4_images, S4_GENS)
     n = len(s4_images)
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        i, j = rng.integers(0, n, size=2)
-        expect = oracles.compose(tuple(s4_images[i]), tuple(s4_images[j]))
-        assert tuple(s4_images[table[i, j]]) == expect
+    for i in range(n):
+        for j in range(n):
+            expect = oracles.compose(tuple(s4_images[i]), tuple(s4_images[j]))
+            assert tuple(s4_images[table[i, j]]) == expect
+
+
+def test_mul_table_rejects_non_generating_set(s4_images):
+    with pytest.raises(ValueError, match="reach 4 of 24"):
+        _table(s4_images, S4_GENS[:1])
 
 
 def test_closure_identity_only(s4_images):
-    table = K.mul_table(s4_images)
+    table = _table(s4_images, S4_GENS)
     got = K.closure(table, np.array([], dtype=np.int64))
     assert list(got) == [0]
 
 
 def test_closure_is_a_subgroup(s4_images):
-    table = K.mul_table(s4_images)
+    table = _table(s4_images, S4_GENS)
     members = K.closure(table, np.array([1, 5], dtype=np.int64))
     mset = set(int(x) for x in members)
     for i in mset:
@@ -49,8 +60,9 @@ def test_closure_is_a_subgroup(s4_images):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_closure_matches_oracle(groups, name, data):
-    images = np.array([g.images for g in groups[name].elements], dtype=np.int32)
-    table = K.mul_table(images)
+    G = groups[name]
+    images = np.array([g.images for g in G.elements], dtype=np.int32)
+    table = _table(images, [g.images for g in G.generators])
     seed = data.draw(
         st.lists(st.integers(0, len(images) - 1), min_size=1, max_size=3)
     )
@@ -62,8 +74,45 @@ def test_closure_matches_oracle(groups, name, data):
     assert {tuple(images[i]) for i in got} == expect
 
 
+@pytest.fixture(scope="module")
+def lattices(groups):
+    """Per group: element image rows, table and every subgroup (oracle)."""
+    out = {}
+    for name in ("s4", "aff8"):
+        G = groups[name]
+        images = np.array([g.images for g in G.elements], dtype=np.int32)
+        table = _table(images, [g.images for g in G.generators])
+        rows = [tuple(r) for r in images.tolist()]
+        subgroups = sorted(sorted(H) for H in oracles.all_subgroups(rows))
+        out[name] = rows, table, subgroups
+    return out
+
+
+@pytest.mark.parametrize("name", ["s4", "aff8"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_closure_extends_base_up_to_limit(lattices, name, data):
+    rows, table, subgroups = lattices[name]
+    H = data.draw(st.sampled_from(subgroups))
+    g = data.draw(st.integers(0, len(rows) - 1))
+    limit = data.draw(st.integers(1, len(rows)))
+    index = {row: i for i, row in enumerate(rows)}
+    h_gens = []  # a generating set of H, one element at a time
+    for h in H:
+        if h not in oracles.subgroup_closure(rows, [rows[i] for i in h_gens]):
+            h_gens.append(index[h])
+    base = np.array(sorted(index[h] for h in H), dtype=np.int64)
+    got = K.closure(table, h_gens + [g], base, limit)
+    assert got.dtype == np.int64
+    expect = oracles.subgroup_closure(rows, H + [rows[g]])
+    if len(expect) <= limit:
+        assert got.tolist() == sorted(index[k] for k in expect)
+    else:
+        assert got.size == 0
+
+
 def test_conjugacy_against_bruteforce(s4_images):
-    table = K.mul_table(s4_images)
+    table = _table(s4_images, S4_GENS)
     index = {tuple(r): i for i, r in enumerate(map(tuple, s4_images))}
     inv = np.array(
         [index[oracles.inverse(tuple(r))] for r in s4_images], dtype=np.int64

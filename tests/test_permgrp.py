@@ -171,11 +171,44 @@ def test_subgroup_budget(aff8):
         sl.subgroups_of_order(aff8, 4, budget=5)
 
 
-def test_s5_has_156_subgroups():
-    G = generate_group(
+def _psl32():
+    return generate_group(
+        7, [parse_cycles("(0 1 2 3 4 5 6)", 7), parse_cycles("(2 4)(5 6)", 7)]
+    )
+
+
+def _s5():
+    return generate_group(
         5, [parse_cycles("(0 1 2 3 4)", 5), parse_cycles("(0 1)", 5)]
     )
-    assert len(sl.all_subgroups(G)) == 156
+
+
+def test_s5_has_156_subgroups():
+    assert len(sl.all_subgroups(_s5())) == 156
+
+
+@pytest.mark.parametrize(
+    "make, search, closures, count",
+    [
+        (_psl32, lambda G, b: sl.subgroups_of_order(G, 24, budget=b), 6243, 14),
+        (_s5, lambda G, b: sl.all_subgroups(G, budget=b), 4169, 156),
+    ],
+    ids=["psl32-order-24", "s5-all"],
+)
+def test_budget_is_exact(make, search, closures, count):
+    G = make()
+    with pytest.raises(BudgetExceededError):
+        search(G, closures - 1)
+    assert len(search(G, closures)) == count
+
+
+def test_psl32_lattice():
+    G = _psl32()
+    everything = sl.all_subgroups(G)
+    assert len(everything) == 179
+    for m in (8, 12, 21, 24):
+        expect = [H.elements for H in everything if H.order == m]
+        assert [H.elements for H in sl.subgroups_of_order(G, m)] == expect
 
 
 def test_are_conjugate(s3, aff8_triple):
