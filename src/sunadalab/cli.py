@@ -37,6 +37,9 @@ from .permgrp import (
 )
 
 ENV_PREFIX = "SUNADALAB_"
+# Most entries one dense array may hold (320 MB of float64).  Commands
+# that would allocate more fail with exit 3 before they allocate it.
+MAX_DENSE_ENTRIES = 4e7
 
 
 def _env(name, cast, fallback):
@@ -173,6 +176,14 @@ def _identity_dict(rep):
 
 def cmd_sunada(args):
     G = load_group_file(args.group, max_order=args.max_order)
+    # the multiplication table, the Cayley weights, the Laplacian and its
+    # eigenvectors are each |G| x |G|
+    if G.order**2 > MAX_DENSE_ENTRIES:
+        raise PreconditionError(
+            f"a group of order {G.order} needs {G.order}x{G.order} dense "
+            f"matrices, more than {MAX_DENSE_ENTRIES:.0e} entries each; "
+            f"sunada takes orders up to {math.isqrt(int(MAX_DENSE_ENTRIES))}"
+        )
     H1 = load_subgroup_file(args.h1, G)
     H2 = load_subgroup_file(args.h2, G)
     K = load_subgroup_file(args.k, G) if args.k else subgroup_generate(G, [])
@@ -220,7 +231,7 @@ def _parse_model(text, nmax):
         return heatkit.interval_neumann_spectrum(params[0], nmax if nmax else 20000)
     if kind == "torus" and len(params) == 2:
         n = nmax if nmax else 700
-        if (n + 1) ** 2 > 4e7:
+        if (n + 1) ** 2 > MAX_DENSE_ENTRIES:
             raise PreconditionError(
                 f"torus lattice at nmax={n} is too large; lower --nmax"
             )

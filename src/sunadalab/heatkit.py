@@ -4,11 +4,14 @@ Three exactly solvable one- and two-dimensional flat models are built by
 truncating their eigenvalue series: the circle, the mirror-quotient
 interval with Neumann conditions, and the rectangular torus.  Partial
 heat traces carry rigorous truncation bounds by integral comparison, so
-every reported digit is certified.  For the one-dimensional models the
-small-time expansion is volume/sqrt(4 pi t) + (boundary constant) +
-exponentially small terms, and the detector extracts that constant: it
-vanishes for the circle and equals 1/2 for the interval (1/4 per mirror
-endpoint), which is what makes the presence of the mirror points audible.
+every reported digit is certified.  On its truncation square the torus
+trace is the product of two circle partial sums, so it is evaluated as
+that product and the lattice eigenvalue list is only built when a caller
+reads it.  For the one-dimensional models the small-time expansion is
+volume/sqrt(4 pi t) + (boundary constant) + exponentially small terms,
+and the detector extracts that constant: it vanishes for the circle and
+equals 1/2 for the interval (1/4 per mirror endpoint), which is what
+makes the presence of the mirror points audible.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,15 +33,30 @@ DETECTOR_T_HI = 1e-3
 
 @dataclass(frozen=True, eq=False)
 class FlatModelSpectrum:
-    """Truncated spectrum of one closed-form flat model."""
+    """Truncated spectrum of one closed-form flat model.
+
+    The eigenvalue list is built on first access and then cached: heat
+    traces of the flat models do not need it, so only callers that read
+    the list itself pay for it.
+    """
 
     model: str
     lengths: tuple
     nmax: int
     dim: int
     volume: float
-    eigenvalues: np.ndarray
-    multiplicities: np.ndarray
+
+    @cached_property
+    def _spectrum(self):
+        return _SPECTRUM_ARRAYS[self.model](*self.lengths, self.nmax)
+
+    @property
+    def eigenvalues(self):
+        return self._spectrum[0]
+
+    @property
+    def multiplicities(self):
+        return self._spectrum[1]
 
     @property
     def total_count(self):
@@ -50,23 +69,50 @@ class FlatModelSpectrum:
         ]
 
 
+def _circle_spectrum_arrays(L, nmax):
+    n = np.arange(nmax + 1)
+    values = (2.0 * np.pi * n / L) ** 2
+    return values, np.where(n == 0, 1, 2).astype(np.int64)
+
+
+def _interval_spectrum_arrays(L, nmax):
+    n = np.arange(nmax + 1)
+    return (np.pi * n / L) ** 2, np.ones(nmax + 1, dtype=np.int64)
+
+
+def _torus_spectrum_arrays(a, b, nmax):
+    # merges the (nmax+1)^2 grid of |m|, |n| <= nmax lattice points into
+    # distinct eigenvalues; at nmax = 2000 this peaks at about 250 MB
+    m = np.arange(nmax + 1)
+    wm = np.where(m == 0, 1, 2)
+    va = (2.0 * np.pi * m / a) ** 2
+    vb = (2.0 * np.pi * m / b) ** 2
+    grid = va[:, None] + vb[None, :]
+    weight = (wm[:, None] * wm[None, :]).astype(np.int64)
+    values, inverse = np.unique(grid.ravel(), return_inverse=True)
+    mults = np.bincount(inverse, weights=weight.ravel()).astype(np.int64)
+    return values, mults
+
+
+_SPECTRUM_ARRAYS = {
+    "circle": _circle_spectrum_arrays,
+    "interval_neumann": _interval_spectrum_arrays,
+    "rect_torus": _torus_spectrum_arrays,
+}
+
+
 def circle_spectrum(L, nmax):
     """Circle of circumference L: eigenvalue (2 pi n / L)^2, double for n >= 1."""
     if L <= 0:
         raise PreconditionError("circumference must be positive")
     if nmax < 0:
         raise PreconditionError("nmax must be non-negative")
-    n = np.arange(nmax + 1)
-    values = (2.0 * np.pi * n / L) ** 2
-    mults = np.where(n == 0, 1, 2).astype(np.int64)
     return FlatModelSpectrum(
         model="circle",
         lengths=(float(L),),
         nmax=int(nmax),
         dim=1,
         volume=float(L),
-        eigenvalues=values,
-        multiplicities=mults,
     )
 
 
@@ -76,16 +122,12 @@ def interval_neumann_spectrum(L, nmax):
         raise PreconditionError("length must be positive")
     if nmax < 0:
         raise PreconditionError("nmax must be non-negative")
-    n = np.arange(nmax + 1)
-    values = (np.pi * n / L) ** 2
     return FlatModelSpectrum(
         model="interval_neumann",
         lengths=(float(L),),
         nmax=int(nmax),
         dim=1,
         volume=float(L),
-        eigenvalues=values,
-        multiplicities=np.ones(nmax + 1, dtype=np.int64),
     )
 
 
@@ -96,22 +138,12 @@ def rect_torus_spectrum(a, b, nmax):
         raise PreconditionError("torus side lengths must be positive")
     if nmax < 0:
         raise PreconditionError("nmax must be non-negative")
-    m = np.arange(nmax + 1)
-    wm = np.where(m == 0, 1, 2)
-    va = (2.0 * np.pi * m / a) ** 2
-    vb = (2.0 * np.pi * m / b) ** 2
-    grid = va[:, None] + vb[None, :]
-    weight = (wm[:, None] * wm[None, :]).astype(np.int64)
-    values, inverse = np.unique(grid.ravel(), return_inverse=True)
-    mults = np.bincount(inverse, weights=weight.ravel()).astype(np.int64)
     return FlatModelSpectrum(
         model="rect_torus",
         lengths=(float(a), float(b)),
         nmax=int(nmax),
         dim=2,
         volume=float(a * b),
-        eigenvalues=values,
-        multiplicities=mults,
     )
 
 
@@ -138,6 +170,28 @@ def _partial_theta(L, nmax, t):
     return 1.0 + 2.0 * float(np.sum(np.exp(-((2.0 * np.pi * n / L) ** 2) * t)))
 
 
+def _torus_trace_and_tail(spec, t_grid):
+    """Partial heat trace of the rectangular torus and its tail bound.
+
+    On the square |m|, |n| <= nmax the lattice sum factors exactly,
+    sum_{m,n} e^{-(alpha_m + beta_n) t} = theta_a(t) theta_b(t), with
+    theta_L the circle partial sum; with T_L the circle's tail bound, the
+    full trace is at most (theta_a + T_a)(theta_b + T_b), which gives the
+    tail bound theta_a T_b + T_a theta_b + T_a T_b.
+    """
+    a, b = spec.lengths
+    trace = np.empty_like(t_grid)
+    tails = np.empty_like(t_grid)
+    for i, t in enumerate(t_grid):
+        ta = 2.0 * _one_dim_tail(a, 2.0 * np.pi, spec.nmax, t)
+        tb = 2.0 * _one_dim_tail(b, 2.0 * np.pi, spec.nmax, t)
+        sa = _partial_theta(a, spec.nmax, t)
+        sb = _partial_theta(b, spec.nmax, t)
+        trace[i] = sa * sb
+        tails[i] = sa * tb + ta * sb + ta * tb
+    return trace, tails
+
+
 def tail_bounds(spec, t_grid):
     """Upper bound on the truncated part of the heat trace at each t."""
     t_grid = np.asarray(t_grid, dtype=np.float64)
@@ -151,13 +205,7 @@ def tail_bounds(spec, t_grid):
         for i, t in enumerate(t_grid):
             out[i] = _one_dim_tail(L, np.pi, spec.nmax, t)
     elif spec.model == "rect_torus":
-        a, b = spec.lengths
-        for i, t in enumerate(t_grid):
-            ta = 2.0 * _one_dim_tail(a, 2.0 * np.pi, spec.nmax, t)
-            tb = 2.0 * _one_dim_tail(b, 2.0 * np.pi, spec.nmax, t)
-            sa = _partial_theta(a, spec.nmax, t)
-            sb = _partial_theta(b, spec.nmax, t)
-            out[i] = sa * tb + ta * sb + ta * tb
+        out = _torus_trace_and_tail(spec, t_grid)[1]
     else:
         raise PreconditionError(f"unknown flat model {spec.model!r}")
     return out
@@ -188,12 +236,17 @@ def heat_trace(spec, t_grid, tol=None):
         raise PreconditionError("t_grid must be a non-empty 1-D array")
     if np.any(t_grid <= 0) or not np.all(np.isfinite(t_grid)):
         raise PreconditionError("t_grid entries must be positive and finite")
-    values, mults, label = _as_value_mult_arrays(spec)
-    trace = _kernels.heat_sum(values, mults, t_grid)
-    if label == "finite":
-        tails = np.zeros_like(t_grid)
+    if isinstance(spec, FlatModelSpectrum) and spec.model == "rect_torus":
+        # the product of two circle sums; the lattice list is never built
+        trace, tails = _torus_trace_and_tail(spec, t_grid)
+        label = spec.model
     else:
-        tails = tail_bounds(spec, t_grid)
+        values, mults, label = _as_value_mult_arrays(spec)
+        trace = _kernels.heat_sum(values, mults, t_grid)
+        if label == "finite":
+            tails = np.zeros_like(t_grid)
+        else:
+            tails = tail_bounds(spec, t_grid)
     if tol is not None:
         worst = float(tails.max())
         if worst > tol:

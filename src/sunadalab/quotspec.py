@@ -123,6 +123,14 @@ class GSpace:
         computed once and shared by every spectral routine."""
         return np.linalg.eigh(laplacian(self.graph))
 
+    @cached_property
+    def _isotypic_cache(self):
+        """(character table, decomposition, counts) per key (id of the
+        character table, cluster_tol, tol), filled by
+        isotypic_multiplicities.  The IsotypicTable itself is not kept,
+        because it refers back to the space."""
+        return {}
+
 
 def gspace(G, graph, vertex_perms):
     """Validate and bundle an action given as one vertex permutation per
@@ -488,10 +496,24 @@ def isotypic_multiplicities(space, ct=None, cluster_tol=None, tol=MULT_TOL):
     Multiplicities are computed from the traces of one representative per
     conjugacy class on each eigenspace and must come out as non-negative
     integers; each cluster's dimension must equal the degree-weighted sum
-    of its multiplicities.
+    of its multiplicities.  The counts are computed once per G-space,
+    character table, ``cluster_tol`` and ``tol``, and shared by every
+    later call.
     """
     if ct is None:
         ct = character_table(space.group)
+    # the entry holds ct, so its id is not reused while the entry exists
+    key = (id(ct), cluster_tol, tol)
+    if key not in space._isotypic_cache:
+        space._isotypic_cache[key] = (ct, *_isotypic_counts(space, ct, cluster_tol, tol))
+    _, decomp, counts = space._isotypic_cache[key]
+    return IsotypicTable(
+        space=space, chartable=ct, decomposition=decomp, counts=counts
+    )
+
+
+def _isotypic_counts(space, ct, cluster_tol, tol):
+    """Clustered spectrum and the read-only (cluster, irrep) count matrix."""
     decomp, blocks = _eigenspaces(space, cluster_tol)
     sizes = np.asarray(ct.partition.class_sizes, dtype=np.float64)
     order = space.group.order
@@ -516,9 +538,8 @@ def isotypic_multiplicities(space, ct=None, cluster_tol=None, tol=MULT_TOL):
                 f"cluster {c}: isotypic dimensions sum to {dim}, expected "
                 f"{decomp.clusters[c][1]}; clusters may be split too finely"
             )
-    return IsotypicTable(
-        space=space, chartable=ct, decomposition=decomp, counts=counts
-    )
+    counts.flags.writeable = False
+    return decomp, counts
 
 
 @dataclass(frozen=True, eq=False)

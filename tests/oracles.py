@@ -5,6 +5,7 @@ and no imports from the package, so a bug in the library cannot hide in
 its own oracle.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -129,3 +130,14 @@ def pair_orbits(perms, n):
                         stack.append((uu, vv))
             next_id += 1
     return orbit
+
+
+def torus_heat_trace(a, b, nmax, t):
+    """Heat trace at time t of the rectangular torus with sides a, b,
+    summed term by term over the lattice square |m|, |n| <= nmax."""
+    terms = []
+    for m in range(-nmax, nmax + 1):
+        for n in range(-nmax, nmax + 1):
+            eigenvalue = (2 * math.pi * m / a) ** 2 + (2 * math.pi * n / b) ** 2
+            terms.append(math.exp(-eigenvalue * t))
+    return math.fsum(terms)

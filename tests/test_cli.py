@@ -1,12 +1,15 @@
+import importlib.util
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from sunadalab import heatkit
+from sunadalab import _kernels, cli, heatkit
 from sunadalab.cli import main, round15
 from sunadalab.permgrp import bundled_group_path
 
@@ -15,6 +18,19 @@ AFF8_H1 = str(bundled_group_path("aff8_h1.subgroup"))
 AFF8_H2 = str(bundled_group_path("aff8_h2.subgroup"))
 S3 = str(bundled_group_path("s3.group"))
 S4 = str(bundled_group_path("s4.group"))
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_benchmark_workloads():
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load_benchmark_workloads()
 
 
 def run_cli(argv, capsys):
@@ -97,6 +113,26 @@ def test_nonclosed_subgroup_exit_code(tmp_path, capsys):
     code, report = run_cli(["gassmann", AFF8, str(bad), AFF8_H1], capsys)
     assert code == 3
     assert report["error"]["type"] == "NotASubgroupError"
+
+
+def test_sunada_memory_preflight(tmp_path, capsys, monkeypatch):
+    h = tmp_path / "h.subgroup"
+    h.write_text("(0 1)\n")
+    tables = []
+    build = _kernels.mul_table
+    monkeypatch.setattr(
+        _kernels, "mul_table", lambda *args: tables.append(args) or build(*args)
+    )
+    monkeypatch.setattr(cli, "MAX_DENSE_ENTRIES", 24**2 - 1)
+    code, report = run_cli(["sunada", S4, str(h), str(h)], capsys)
+    assert code == 3
+    assert report["error"]["type"] == "PreconditionError"
+    assert "order 24" in report["error"]["message"]
+    assert tables == []  # refused before the |G|^2 table
+    monkeypatch.setattr(cli, "MAX_DENSE_ENTRIES", 24**2)
+    code, report = run_cli(["sunada", S4, str(h), str(h)], capsys)
+    assert code == 0
+    assert len(tables) == 1
 
 
 def test_sunada_same_subgroup(capsys):
@@ -261,6 +297,18 @@ def test_reports_are_byte_identical(tmp_path):
     for path in (a, b):
         assert main(["sunada", AFF8, AFF8_H1, AFF8_H2, "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.CLI_COMMANDS))
+def test_bundled_report_matches_reference(name, capsys, monkeypatch):
+    # the benchmark's cli-bundled commands, run in-process from the repo
+    # root without SUNADALAB_* defaults, must print its references exactly
+    for var in [v for v in os.environ if v.startswith("SUNADALAB_")]:
+        monkeypatch.delenv(var)
+    monkeypatch.chdir(ROOT)
+    assert main(WORKLOADS.CLI_COMMANDS[name]) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (WORKLOADS.REFS / f"{name}.out").read_bytes()
 
 
 def test_env_overrides(tmp_path, capsys, monkeypatch):

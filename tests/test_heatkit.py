@@ -1,12 +1,15 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sunadalab import heatkit as hk
 from sunadalab.errors import ParseError, PreconditionError, TailBoundError
+
+import oracles
 
 
 # --- model spectra ------------------------------------------------------------
@@ -35,6 +38,24 @@ def test_torus_small():
     skew = hk.rect_torus_spectrum(2 * np.pi, 4 * np.pi, 4)
     positive = skew.eigenvalues[skew.eigenvalues > 0]
     assert positive[0] == pytest.approx(0.25)
+
+
+def test_torus_lattice_built_on_first_access():
+    spec = hk.rect_torus_spectrum(1.0, 1.5, 30)
+    hk.heat_trace(spec, [1e-3, 1e-1])
+    assert "_spectrum" not in spec.__dict__  # the trace never lists the lattice
+    # the construction the lattice list has always had
+    m = np.arange(31)
+    wm = np.where(m == 0, 1, 2)
+    grid = (2.0 * np.pi * m / 1.0)[:, None] ** 2 + (2.0 * np.pi * m / 1.5)[None, :] ** 2
+    values, inverse = np.unique(grid.ravel(), return_inverse=True)
+    weight = (wm[:, None] * wm[None, :]).astype(np.int64)
+    mults = np.bincount(inverse, weights=weight.ravel()).astype(np.int64)
+    assert np.array_equal(spec.eigenvalues, values)
+    assert np.array_equal(spec.multiplicities, mults)
+    assert spec.multiplicities.dtype == np.int64
+    assert spec.eigenvalues is spec.eigenvalues  # cached, not rebuilt
+    assert spec.total_count == 61 * 61
 
 
 def test_model_validation():
@@ -98,6 +119,28 @@ def test_tail_bound_certifies_truncation(spec):
     gap = fine_curve.values - coarse_curve.values
     assert np.all(gap >= -1e-12)
     assert np.all(gap <= coarse_curve.tail_bounds + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "a, b, nmax", [(1.0, 1.5, 12), (2 * np.pi, 2 * np.pi, 8), (0.7, 3.1, 20)]
+)
+def test_torus_trace_matches_lattice_oracle(a, b, nmax):
+    t = [1e-3, 1e-2, 0.1, 1.0]
+    curve = hk.heat_trace(hk.rect_torus_spectrum(a, b, nmax), t)
+    for value, ti in zip(curve.values, t):
+        exact = oracles.torus_heat_trace(a, b, nmax, ti)
+        assert abs(value - exact) <= 1e-12 * exact
+
+
+def test_torus_trace_allocates_no_lattice():
+    spec = hk.rect_torus_spectrum(1.0, 1.5, 2000)
+    tracemalloc.start()
+    try:
+        hk.heat_trace(spec, [1e-4])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6  # the (nmax+1)^2 lattice alone would be 32 MB
 
 
 def test_trace_tolerance_gate():

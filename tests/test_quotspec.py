@@ -337,6 +337,25 @@ def test_identity_holds_with_valid_k(s3):
     assert bool(rep2)
 
 
+def test_isotypic_counts_computed_once_per_space(aff8_triple, monkeypatch):
+    G, H1, H2 = aff8_triple
+    calls = []
+    compute = qs._isotypic_counts
+    monkeypatch.setattr(
+        qs, "_isotypic_counts", lambda *args: calls.append(args) or compute(*args)
+    )
+    space = qs.cayley_graph(G)
+    assert qs.sunada_identity_check(space, H1).holds
+    assert qs.sunada_identity_check(space, H2).holds
+    assert qs.donnelly_support(space).law_holds
+    assert len(calls) == 1
+    table = qs.isotypic_multiplicities(space)
+    assert not table.counts.flags.writeable  # shared by every caller
+    assert table.space is space
+    qs.isotypic_multiplicities(space, cluster_tol=1e-6)
+    assert len(calls) == 2  # another tolerance is another table
+
+
 def test_donnelly_regular_action(q8):
     triv = sl.subgroup_generate(q8, [])
     space = qs.coset_gspace(q8, [triv], weight_seed=4)
