@@ -95,8 +95,22 @@ def _spectrum_pairs(decomp):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_group_info(args):
+def _load_group(args):
+    """Load the group file named in ``args``.  A group whose |G| x |G|
+    arrays, its multiplication table first, would pass MAX_DENSE_ENTRIES
+    is refused before any of them is allocated."""
     G = load_group_file(args.group, max_order=args.max_order)
+    if G.order**2 > MAX_DENSE_ENTRIES:
+        raise PreconditionError(
+            f"a group of order {G.order} needs {G.order}x{G.order} dense "
+            f"matrices, more than {MAX_DENSE_ENTRIES:.0e} entries each; "
+            f"{args.command} takes orders up to {math.isqrt(int(MAX_DENSE_ENTRIES))}"
+        )
+    return G
+
+
+def cmd_group_info(args):
+    G = _load_group(args)
     cc = chartab.conjugacy_classes(G)
     ct = chartab.character_table(G, seed=args.seed)
     table_rows = [
@@ -121,7 +135,7 @@ def cmd_group_info(args):
 
 
 def cmd_gassmann(args):
-    G = load_group_file(args.group, max_order=args.max_order)
+    G = _load_group(args)
     if args.search is not None:
         if args.h1 or args.h2:
             raise PreconditionError("--search replaces the subgroup files")
@@ -175,21 +189,15 @@ def _identity_dict(rep):
 
 
 def cmd_sunada(args):
-    G = load_group_file(args.group, max_order=args.max_order)
     # the multiplication table, the Cayley weights, the Laplacian and its
     # eigenvectors are each |G| x |G|
-    if G.order**2 > MAX_DENSE_ENTRIES:
-        raise PreconditionError(
-            f"a group of order {G.order} needs {G.order}x{G.order} dense "
-            f"matrices, more than {MAX_DENSE_ENTRIES:.0e} entries each; "
-            f"sunada takes orders up to {math.isqrt(int(MAX_DENSE_ENTRIES))}"
-        )
+    G = _load_group(args)
     H1 = load_subgroup_file(args.h1, G)
     H2 = load_subgroup_file(args.h2, G)
     K = load_subgroup_file(args.k, G) if args.k else subgroup_generate(G, [])
     space = _cayley_space(G, args.gens)
-    triple = gassmann.triple_report(G, H1, H2)
     ct = chartab.character_table(G, seed=args.seed)
+    triple = gassmann.triple_report(G, H1, H2, ct=ct)
     s1 = quotspec.invariant_spectrum(space, H1, cluster_tol=args.cluster_tol)
     s2 = quotspec.invariant_spectrum(space, H2, cluster_tol=args.cluster_tol)
     if s1.dim == s2.dim:

@@ -73,7 +73,10 @@ def induced_multiplicities(G, H, ct=None):
     """Multiplicity of each irreducible in the coset representation on G/H."""
     if ct is None:
         ct = character_table(G)
-    pc = permutation_character(G, H)
+    return _multiplicities(ct, permutation_character(G, H))
+
+
+def _multiplicities(ct, pc):
     return tuple(multiplicity(ct, pc, r) for r in range(ct.num_irreps))
 
 
@@ -99,27 +102,30 @@ def k_equivalent(G, H1, H2, K, ct=None):
     return all(m1[r] == m2[r] for r in rows)
 
 
-def triple_report(G, H1, H2):
+def triple_report(G, H1, H2, ct=None):
     """Full certificate for a subgroup pair.
 
     The counting route and the representation route must agree; a
     disagreement would mean a numerical fault, not a mathematical one,
-    so it is raised rather than reported.
+    so it is raised rather than reported.  ``ct`` is the character table
+    of G to use (default: ``character_table(G)``).
     """
     if H1.order != H2.order:
         raise PreconditionError(
             f"subgroup orders differ: {H1.order} vs {H2.order}"
         )
+    if ct is None:
+        ct = character_table(G)
     c1 = class_intersection_counts(G, H1)
     c2 = class_intersection_counts(G, H2)
     ac = c1 == c2
-    rep_eq = representation_equivalent(G, H1, H2)
+    pc = permutation_character(G, H1)
+    rep_eq = _multiplicities(ct, pc) == induced_multiplicities(G, H2, ct)
     if ac != rep_eq:
         raise PreconditionError(
             "class counting and character multiplicities disagree; "
             "the character table is unreliable for this group"
         )
-    pc = permutation_character(G, H1)
     return TripleReport(
         group_order=G.order,
         subgroup_order=H1.order,

@@ -1,17 +1,19 @@
 """Heat traces of closed-form flat spectra and a singular-set detector.
 
-Three exactly solvable one- and two-dimensional flat models are built by
-truncating their eigenvalue series: the circle, the mirror-quotient
-interval with Neumann conditions, and the rectangular torus.  Partial
-heat traces carry rigorous truncation bounds by integral comparison, so
-every reported digit is certified.  On its truncation square the torus
-trace is the product of two circle partial sums, so it is evaluated as
-that product and the lattice eigenvalue list is only built when a caller
-reads it.  For the one-dimensional models the small-time expansion is
-volume/sqrt(4 pi t) + (boundary constant) + exponentially small terms,
-and the detector extracts that constant: it vanishes for the circle and
-equals 1/2 for the interval (1/4 per mirror endpoint), which is what
-makes the presence of the mirror points audible.
+Every flat model is a product of one-dimensional factors, one per side
+length L.  A factor (c, mult) has eigenvalues (c n / L)^2 for
+n = 0..nmax, simple at n = 0 and of multiplicity ``mult`` above.  The
+circle is one (2 pi, 2) factor, the mirror-quotient interval with
+Neumann ends one (pi, 1) factor, and the rectangular torus two circle
+factors.  On the truncation box a model's heat trace is the product of
+its factor partial sums, and its rigorous tail bound is folded from the
+factors' integral-comparison bounds, so every reported digit is
+certified without the eigenvalue list; that list is built only when a
+caller reads it.  For the one-dimensional models the small-time
+expansion is volume/sqrt(4 pi t) + (boundary constant) + exponentially
+small terms, and the detector extracts that constant: it vanishes for
+the circle and equals 1/2 for the interval (1/4 per mirror endpoint),
+which is what makes the presence of the mirror points audible.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -29,6 +31,15 @@ from .errors import NumericalError, ParseError, PreconditionError, TailBoundErro
 SINGULARITY_THRESHOLD = 0.05
 DETECTOR_T_LO = 1e-4
 DETECTOR_T_HI = 1e-3
+
+# the one-dimensional factors (c, mult) of each model
+_CIRCLE = (2.0 * np.pi, 2)
+_NEUMANN = (np.pi, 1)
+_MODEL_FACTORS = {
+    "circle": (_CIRCLE,),
+    "interval_neumann": (_NEUMANN,),
+    "rect_torus": (_CIRCLE, _CIRCLE),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +59,13 @@ class FlatModelSpectrum:
 
     @cached_property
     def _spectrum(self):
-        return _SPECTRUM_ARRAYS[self.model](*self.lengths, self.nmax)
+        # on the truncation box, eigenvalues add across factors and
+        # multiplicities multiply; equal sums are merged into one entry
+        factors = [_factor(L, c, mult, self.nmax, ()) for L, c, mult in _factors(self)]
+        grid = reduce(np.add.outer, [f[0] for f in factors]).ravel()
+        weight = reduce(np.multiply.outer, [f[1] for f in factors]).ravel()
+        values, inverse = np.unique(grid, return_inverse=True)
+        return values, np.bincount(inverse, weights=weight).astype(np.int64)
 
     @property
     def eigenvalues(self):
@@ -69,82 +86,53 @@ class FlatModelSpectrum:
         ]
 
 
-def _circle_spectrum_arrays(L, nmax):
+def _factors(spec):
+    """(L, c, mult) for each one-dimensional factor of a flat model."""
+    kinds = _MODEL_FACTORS.get(spec.model)
+    if kinds is None:
+        raise PreconditionError(f"unknown flat model {spec.model!r}")
+    return [(L, c, mult) for L, (c, mult) in zip(spec.lengths, kinds)]
+
+
+def _factor(L, c, mult, nmax, t_grid):
+    """Eigenvalues and multiplicities of one factor, and its tail bound at
+    each t of ``t_grid``."""
     n = np.arange(nmax + 1)
-    values = (2.0 * np.pi * n / L) ** 2
-    return values, np.where(n == 0, 1, 2).astype(np.int64)
+    values = (c * n / L) ** 2
+    mults = np.where(n == 0, 1, mult).astype(np.int64)
+    tails = np.array([mult * _one_dim_tail(L, c, nmax, t) for t in t_grid])
+    return values, mults, tails
 
 
-def _interval_spectrum_arrays(L, nmax):
-    n = np.arange(nmax + 1)
-    return (np.pi * n / L) ** 2, np.ones(nmax + 1, dtype=np.int64)
-
-
-def _torus_spectrum_arrays(a, b, nmax):
-    # merges the (nmax+1)^2 grid of |m|, |n| <= nmax lattice points into
-    # distinct eigenvalues; at nmax = 2000 this peaks at about 250 MB
-    m = np.arange(nmax + 1)
-    wm = np.where(m == 0, 1, 2)
-    va = (2.0 * np.pi * m / a) ** 2
-    vb = (2.0 * np.pi * m / b) ** 2
-    grid = va[:, None] + vb[None, :]
-    weight = (wm[:, None] * wm[None, :]).astype(np.int64)
-    values, inverse = np.unique(grid.ravel(), return_inverse=True)
-    mults = np.bincount(inverse, weights=weight.ravel()).astype(np.int64)
-    return values, mults
-
-
-_SPECTRUM_ARRAYS = {
-    "circle": _circle_spectrum_arrays,
-    "interval_neumann": _interval_spectrum_arrays,
-    "rect_torus": _torus_spectrum_arrays,
-}
+def _flat_model(model, lengths, nmax, what):
+    if any(L <= 0 for L in lengths):
+        raise PreconditionError(f"{what} must be positive")
+    if nmax < 0:
+        raise PreconditionError("nmax must be non-negative")
+    lengths = tuple(float(L) for L in lengths)
+    return FlatModelSpectrum(
+        model=model,
+        lengths=lengths,
+        nmax=int(nmax),
+        dim=len(lengths),
+        volume=math.prod(lengths),
+    )
 
 
 def circle_spectrum(L, nmax):
     """Circle of circumference L: eigenvalue (2 pi n / L)^2, double for n >= 1."""
-    if L <= 0:
-        raise PreconditionError("circumference must be positive")
-    if nmax < 0:
-        raise PreconditionError("nmax must be non-negative")
-    return FlatModelSpectrum(
-        model="circle",
-        lengths=(float(L),),
-        nmax=int(nmax),
-        dim=1,
-        volume=float(L),
-    )
+    return _flat_model("circle", (L,), nmax, "circumference")
 
 
 def interval_neumann_spectrum(L, nmax):
     """Interval of length L with Neumann ends: eigenvalue (pi n / L)^2, simple."""
-    if L <= 0:
-        raise PreconditionError("length must be positive")
-    if nmax < 0:
-        raise PreconditionError("nmax must be non-negative")
-    return FlatModelSpectrum(
-        model="interval_neumann",
-        lengths=(float(L),),
-        nmax=int(nmax),
-        dim=1,
-        volume=float(L),
-    )
+    return _flat_model("interval_neumann", (L,), nmax, "length")
 
 
 def rect_torus_spectrum(a, b, nmax):
     """Rectangular torus with side lengths a, b: lattice eigenvalues
     (2 pi m / a)^2 + (2 pi n / b)^2 over |m|, |n| <= nmax."""
-    if a <= 0 or b <= 0:
-        raise PreconditionError("torus side lengths must be positive")
-    if nmax < 0:
-        raise PreconditionError("nmax must be non-negative")
-    return FlatModelSpectrum(
-        model="rect_torus",
-        lengths=(float(a), float(b)),
-        nmax=int(nmax),
-        dim=2,
-        volume=float(a * b),
-    )
+    return _flat_model("rect_torus", (a, b), nmax, "torus side lengths")
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,50 +153,25 @@ def _one_dim_tail(L, c, nmax, t):
     return L / (2.0 * math.sqrt(math.pi * t)) * math.erfc(c * nmax * math.sqrt(t) / L)
 
 
-def _partial_theta(L, nmax, t):
-    n = np.arange(1, nmax + 1)
-    return 1.0 + 2.0 * float(np.sum(np.exp(-((2.0 * np.pi * n / L) ** 2) * t)))
+def _trace_and_tail(spec, t_grid):
+    """Partial heat trace of a flat model and its tail bound at each t.
 
-
-def _torus_trace_and_tail(spec, t_grid):
-    """Partial heat trace of the rectangular torus and its tail bound.
-
-    On the square |m|, |n| <= nmax the lattice sum factors exactly,
-    sum_{m,n} e^{-(alpha_m + beta_n) t} = theta_a(t) theta_b(t), with
-    theta_L the circle partial sum; with T_L the circle's tail bound, the
-    full trace is at most (theta_a + T_a)(theta_b + T_b), which gives the
-    tail bound theta_a T_b + T_a theta_b + T_a T_b.
+    The truncated trace is the product of the factor partial sums s_i.
+    The full trace is at most the product of (s_i + T_i), with T_i the
+    factor's tail bound, so multiplying in a factor maps (trace, tail) to
+    (trace s, trace T + tail s + tail T), starting from (1, 0).
     """
-    a, b = spec.lengths
-    trace = np.empty_like(t_grid)
-    tails = np.empty_like(t_grid)
-    for i, t in enumerate(t_grid):
-        ta = 2.0 * _one_dim_tail(a, 2.0 * np.pi, spec.nmax, t)
-        tb = 2.0 * _one_dim_tail(b, 2.0 * np.pi, spec.nmax, t)
-        sa = _partial_theta(a, spec.nmax, t)
-        sb = _partial_theta(b, spec.nmax, t)
-        trace[i] = sa * sb
-        tails[i] = sa * tb + ta * sb + ta * tb
-    return trace, tails
+    trace, tail = 1.0, 0.0
+    for L, c, mult in _factors(spec):
+        values, mults, T = _factor(L, c, mult, spec.nmax, t_grid)
+        s = _kernels.heat_sum(values, mults.astype(np.float64), t_grid)
+        trace, tail = trace * s, trace * T + tail * s + tail * T
+    return trace, tail
 
 
 def tail_bounds(spec, t_grid):
     """Upper bound on the truncated part of the heat trace at each t."""
-    t_grid = np.asarray(t_grid, dtype=np.float64)
-    out = np.empty_like(t_grid)
-    if spec.model == "circle":
-        (L,) = spec.lengths
-        for i, t in enumerate(t_grid):
-            out[i] = 2.0 * _one_dim_tail(L, 2.0 * np.pi, spec.nmax, t)
-    elif spec.model == "interval_neumann":
-        (L,) = spec.lengths
-        for i, t in enumerate(t_grid):
-            out[i] = _one_dim_tail(L, np.pi, spec.nmax, t)
-    elif spec.model == "rect_torus":
-        out = _torus_trace_and_tail(spec, t_grid)[1]
-    else:
-        raise PreconditionError(f"unknown flat model {spec.model!r}")
-    return out
+    return _trace_and_tail(spec, np.asarray(t_grid, dtype=np.float64))[1]
 
 
 def _as_value_mult_arrays(spec):
@@ -236,17 +199,14 @@ def heat_trace(spec, t_grid, tol=None):
         raise PreconditionError("t_grid must be a non-empty 1-D array")
     if np.any(t_grid <= 0) or not np.all(np.isfinite(t_grid)):
         raise PreconditionError("t_grid entries must be positive and finite")
-    if isinstance(spec, FlatModelSpectrum) and spec.model == "rect_torus":
-        # the product of two circle sums; the lattice list is never built
-        trace, tails = _torus_trace_and_tail(spec, t_grid)
+    if isinstance(spec, FlatModelSpectrum):
+        # a product of factor sums; the eigenvalue list is never built
+        trace, tails = _trace_and_tail(spec, t_grid)
         label = spec.model
     else:
         values, mults, label = _as_value_mult_arrays(spec)
         trace = _kernels.heat_sum(values, mults, t_grid)
-        if label == "finite":
-            tails = np.zeros_like(t_grid)
-        else:
-            tails = tail_bounds(spec, t_grid)
+        tails = np.zeros_like(t_grid)
     if tol is not None:
         worst = float(tails.max())
         if worst > tol:

@@ -329,13 +329,14 @@ def subgroup_from_indices(G, indices):
         raise NotASubgroupError("element index out of range for the parent group")
     if 0 not in idx:
         raise NotASubgroupError("identity missing from subgroup element set")
-    idx_set = set(idx)
-    for i in idx:
-        for j in idx:
-            if int(G.table[i, j]) not in idx_set:
-                raise NotASubgroupError(
-                    f"not closed: element {i} * element {j} falls outside the set"
-                )
+    member = np.zeros(G.order, dtype=bool)
+    member[idx] = True
+    outside = np.argwhere(~member[G.table[np.ix_(idx, idx)]])
+    if outside.size:
+        i, j = outside[0]  # argwhere lists the pairs in row-major order
+        raise NotASubgroupError(
+            f"not closed: element {idx[i]} * element {idx[j]} falls outside the set"
+        )
     return Subgroup(parent=G, elements=tuple(idx))
 
 

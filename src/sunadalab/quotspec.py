@@ -403,22 +403,12 @@ def vertex_orbits(space, H=None):
     """Orbits of H (default: the whole group) on the vertex set, each a
     sorted tuple, listed by minimal vertex."""
     rows = space.vertex_perms if H is None else space.vertex_perms[H.indices()]
-    n = space.n
-    orbit_of = np.full(n, -1, dtype=np.int64)
-    orbits = []
-    for v in range(n):
-        if orbit_of[v] >= 0:
-            continue
-        members = np.unique(rows[:, v])
-        frontier = members
-        while True:
-            grown = np.unique(rows[:, members].ravel())
-            if grown.size == members.size:
-                break
-            members = grown
-        orbit_of[members] = len(orbits)
-        orbits.append(tuple(int(x) for x in members))
-    return orbits
+    # rows lists every element of H, so column v holds the whole orbit of
+    # v, and its minimum labels that orbit
+    label = rows.min(axis=0)
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+    return [tuple(chunk.tolist()) for chunk in np.split(order, starts)[1:]]
 
 
 def is_free(space, H=None):

@@ -132,6 +132,41 @@ def pair_orbits(perms, n):
     return orbit
 
 
+def vertex_orbits(perms, n):
+    """Orbits of the group generated by the rows of ``perms`` on
+    0..n-1, found by search; each a sorted tuple, listed by minimal
+    vertex."""
+    rows = [[int(x) for x in p] for p in perms]
+    seen = set()
+    orbits = []
+    for v in range(n):
+        if v in seen:
+            continue
+        orbit = {v}
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for p in rows:
+                if p[u] not in orbit:
+                    orbit.add(p[u])
+                    stack.append(p[u])
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return orbits
+
+
+def subgroup_closure_failure(table, indices):
+    """First pair (i, j) of the sorted index set, in row-major order,
+    whose product table[i][j] falls outside the set, or None."""
+    idx = sorted(set(indices))
+    inside = set(idx)
+    for i in idx:
+        for j in idx:
+            if int(table[i][j]) not in inside:
+                return i, j
+    return None
+
+
 def torus_heat_trace(a, b, nmax, t):
     """Heat trace at time t of the rectangular torus with sides a, b,
     summed term by term over the lattice square |m|, |n| <= nmax."""

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from sunadalab import _kernels, cli, heatkit
+from sunadalab import _kernels, chartab, cli, heatkit
 from sunadalab.cli import main, round15
 from sunadalab.permgrp import bundled_group_path
 
@@ -115,24 +115,46 @@ def test_nonclosed_subgroup_exit_code(tmp_path, capsys):
     assert report["error"]["type"] == "NotASubgroupError"
 
 
-def test_sunada_memory_preflight(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["sunada", "group-info", "gassmann"])
+def test_sunada_memory_preflight(tmp_path, capsys, monkeypatch, command):
     h = tmp_path / "h.subgroup"
     h.write_text("(0 1)\n")
+    argv = [command, S4] + ([] if command == "group-info" else [str(h), str(h)])
     tables = []
     build = _kernels.mul_table
     monkeypatch.setattr(
         _kernels, "mul_table", lambda *args: tables.append(args) or build(*args)
     )
     monkeypatch.setattr(cli, "MAX_DENSE_ENTRIES", 24**2 - 1)
-    code, report = run_cli(["sunada", S4, str(h), str(h)], capsys)
+    code, report = run_cli(argv, capsys)
     assert code == 3
     assert report["error"]["type"] == "PreconditionError"
     assert "order 24" in report["error"]["message"]
+    assert f"{command} takes orders up to" in report["error"]["message"]
     assert tables == []  # refused before the |G|^2 table
     monkeypatch.setattr(cli, "MAX_DENSE_ENTRIES", 24**2)
-    code, report = run_cli(["sunada", S4, str(h), str(h)], capsys)
+    code, report = run_cli(argv, capsys)
     assert code == 0
     assert len(tables) == 1
+
+
+def test_sunada_computes_one_character_table(capsys, monkeypatch):
+    # the triple certificate reuses the table built for --seed, whatever
+    # the seed, and the report does not depend on which table it used
+    builds = []  # each table computation starts from the structure constants
+    build = chartab.structure_constants
+    monkeypatch.setattr(
+        chartab, "structure_constants", lambda G: builds.append(G) or build(G)
+    )
+    reports = {}
+    for seed in ("0", "7"):
+        builds.clear()
+        code, reports[seed] = run_cli(
+            ["sunada", AFF8, AFF8_H1, AFF8_H2, "--seed", seed], capsys
+        )
+        assert code == 0
+        assert len(builds) == 1
+    assert reports["7"] == reports["0"]
 
 
 def test_sunada_same_subgroup(capsys):

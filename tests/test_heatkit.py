@@ -5,7 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sunadalab import _kernels
 from sunadalab import heatkit as hk
 from sunadalab.errors import ParseError, PreconditionError, TailBoundError
 
@@ -43,6 +46,7 @@ def test_torus_small():
 def test_torus_lattice_built_on_first_access():
     spec = hk.rect_torus_spectrum(1.0, 1.5, 30)
     hk.heat_trace(spec, [1e-3, 1e-1])
+    hk.tail_bounds(spec, [1e-3, 1e-1])
     assert "_spectrum" not in spec.__dict__  # the trace never lists the lattice
     # the construction the lattice list has always had
     m = np.arange(31)
@@ -56,6 +60,19 @@ def test_torus_lattice_built_on_first_access():
     assert spec.multiplicities.dtype == np.int64
     assert spec.eigenvalues is spec.eigenvalues  # cached, not rebuilt
     assert spec.total_count == 61 * 61
+    # the one-dimensional models list nothing for their traces either
+    n = np.arange(31)
+    for maker, values, mults in [
+        (hk.circle_spectrum, (2.0 * np.pi * n / 1.5) ** 2, np.where(n == 0, 1, 2)),
+        (hk.interval_neumann_spectrum, (np.pi * n / 1.5) ** 2, np.ones(31)),
+    ]:
+        spec = maker(1.5, 30)
+        hk.heat_trace(spec, [1e-3, 1e-1])
+        hk.tail_bounds(spec, [1e-3, 1e-1])
+        assert "_spectrum" not in spec.__dict__
+        assert np.array_equal(spec.eigenvalues, values)
+        assert np.array_equal(spec.multiplicities, mults)
+        assert spec.multiplicities.dtype == np.int64
 
 
 def test_model_validation():
@@ -130,6 +147,26 @@ def test_torus_trace_matches_lattice_oracle(a, b, nmax):
     for value, ti in zip(curve.values, t):
         exact = oracles.torus_heat_trace(a, b, nmax, ti)
         assert abs(value - exact) <= 1e-12 * exact
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=st.sampled_from(["circle", "interval_neumann", "rect_torus"]),
+    lengths=st.lists(st.floats(0.3, 5.0), min_size=2, max_size=2),
+    nmax=st.integers(1, 60),
+    t=st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=4),
+)
+def test_factor_trace_matches_eigenvalue_list(model, lengths, nmax, t):
+    # the factor product and the model's own eigenvalue list agree
+    if model == "rect_torus":
+        spec = hk.rect_torus_spectrum(*lengths, nmax)
+    elif model == "circle":
+        spec = hk.circle_spectrum(lengths[0], nmax)
+    else:
+        spec = hk.interval_neumann_spectrum(lengths[0], nmax)
+    curve = hk.heat_trace(spec, t)
+    listed = _kernels.heat_sum(spec.eigenvalues, spec.multiplicities, np.asarray(t))
+    assert np.all(np.abs(curve.values - listed) <= 1e-12 * listed)
 
 
 def test_torus_trace_allocates_no_lattice():

@@ -143,6 +143,23 @@ def test_subgroup_from_indices_validates(s3):
         sl.subgroup_from_indices(s3, [three_cycle])  # identity missing
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(1, 23), min_size=1, max_size=12))
+def test_subgroup_from_indices_names_first_failing_pair(s4, rest):
+    indices = {0} | rest
+    failure = oracles.subgroup_closure_failure(s4.table.tolist(), indices)
+    if failure is None:
+        H = sl.subgroup_from_indices(s4, indices)
+        assert H.elements == tuple(sorted(indices))
+        return
+    with pytest.raises(NotASubgroupError) as info:
+        sl.subgroup_from_indices(s4, indices)
+    i, j = failure
+    assert str(info.value) == (
+        f"not closed: element {i} * element {j} falls outside the set"
+    )
+
+
 def test_subgroups_of_order_counts(s3, s4, aff8):
     assert len(sl.subgroups_of_order(s3, 2)) == 3
     assert len(sl.subgroups_of_order(s3, 3)) == 1

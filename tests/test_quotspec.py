@@ -152,6 +152,21 @@ def test_vertex_orbits_and_freeness(s3):
     assert not qs.is_free(mixed)
 
 
+@pytest.mark.parametrize("name", ["s3", "s4", "d4", "aff8"])
+def test_vertex_orbits_match_oracle(groups, name):
+    G = groups[name]
+    subs = sl.all_subgroups(G)
+    # the action on G/H for each H, and on a union of three coset spaces
+    spaces = [qs.coset_gspace(G, [H]) for H in subs]
+    spaces.append(qs.coset_gspace(G, [subs[0], subs[-1], subs[len(subs) // 2]]))
+    for space in spaces:
+        for H in subs:
+            perms = space.vertex_perms[H.indices()].tolist()
+            assert qs.vertex_orbits(space, H) == oracles.vertex_orbits(perms, space.n)
+        whole = space.vertex_perms.tolist()
+        assert qs.vertex_orbits(space) == oracles.vertex_orbits(whole, space.n)
+
+
 # --- quotients ---------------------------------------------------------------
 
 @pytest.fixture
