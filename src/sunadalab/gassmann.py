@@ -27,7 +27,7 @@ from .permgrp import (
     are_conjugate_subgroups,
     conjugacy_classes,
     conjugate_by_all,
-    subgroups_of_order,
+    subgroup_classes_of_order,
 )
 
 
@@ -153,17 +153,17 @@ def gassmann_search(
     orbit of simultaneous conjugation.
     """
     kwargs = {} if budget is None else {"budget": budget}
-    subs = subgroups_of_order(G, m, **kwargs)
+    subs, class_ids = subgroup_classes_of_order(G, m, **kwargs)
     buckets = {}
-    for H in subs:
-        buckets.setdefault(class_intersection_counts(G, H), []).append(H)
+    for H, c in zip(subs, class_ids):
+        buckets.setdefault(class_intersection_counts(G, H), []).append((H, c))
     pairs = []
     for counts in sorted(buckets):
         group = buckets[counts]
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
-                H1, H2 = group[i], group[j]
-                if require_nonconjugate and are_conjugate_subgroups(G, H1, H2):
+                (H1, c1), (H2, c2) = group[i], group[j]
+                if require_nonconjugate and c1 == c2:
                     continue
                 pairs.append((H1, H2))
     if dedup_conjugate_orbits:

@@ -385,21 +385,40 @@ def are_conjugate_subgroups(G, H1, H2):
 
 
 def _enumerate_subgroups(G, record, grow, budget, limit):
-    """DFS over the subgroup lattice from the trivial subgroup.
+    """DFS over the subgroup lattice, one representative per conjugacy class.
 
-    Each subgroup H whose order passes ``grow`` is extended to <H, g> for
-    one g in every right coset Hg other than H itself, which is enough
-    because <H, g> = <H, hg>.  Subgroups whose order passes ``record`` are
-    returned, sorted.  Neither predicate may pass an order above
-    ``limit``: the closure of <H, g> stops once it outgrows the limit.
-    The budget counts closure computations, one per coset representative
-    tried.  The stack keeps each subgroup's generators, the g's along
-    its path, for the coset extension.
+    Returns the sorted subgroups whose order passes ``record`` and, for
+    each, the id of its conjugacy class in G; ids count the classes in
+    order of their first member.
+
+    Each representative H whose order passes ``grow`` is extended to
+    <H, g> for one g in every right coset Hg other than H itself, which
+    is enough because <H, g> = <H, hg>.  A closure that is not yet known
+    has its whole class computed with one ``conjugate_by_all`` gather;
+    every member becomes known, and the closure is the class's
+    representative.  A closure that is known is dropped.
+
+    Every class is still found.  Take a chain 1 = K_0 < K_1 < ... < K_r = K
+    with K_{i+1} = <K_i, g>.  Each K_i with i < r has a proper divisor
+    of |K| as its order, so it passes ``grow`` whenever |K| passes
+    ``record``.  By induction on i, K_i's class has a representative
+    x K_i x^{-1} that the DFS extends; the trivial subgroup starts it.
+    Since g is not in K_i, some right coset of x K_i x^{-1} other than
+    itself holds x g x^{-1}.  The DFS tries some h x g x^{-1} with h in
+    x K_i x^{-1}, and that closure is x K_{i+1} x^{-1}, within the
+    limit.  So K_{i+1}'s class is known and has a representative, and
+    K's class is recorded whole.
+
+    Neither predicate may pass an order above ``limit``: the closure of
+    <H, g> stops once it outgrows the limit.  The budget counts closure
+    computations, one per right-coset representative tried.  The stack
+    keeps each representative's generators, the g's along its path, for
+    the coset extension.
     """
     table = G.table
     trivial = (0,)
-    visited = {trivial}
-    found = [trivial] if record(1) else []
+    known = {trivial}
+    classes = [{trivial}] if record(1) else []
     stack = [(trivial, [])] if grow(1) else []
     closures = 0
     while stack:
@@ -417,29 +436,42 @@ def _enumerate_subgroups(G, record, grow, budget, limit):
                     f"subgroup enumeration exceeded budget of {budget} closures"
                 )
             grown = tuple(_kernels.closure(table, gens + [g], current, limit).tolist())
-            if not grown or grown in visited:  # empty: outgrew the limit
+            if not grown or grown in known:  # empty: outgrew the limit
                 continue
-            visited.add(grown)
+            orbit = conjugate_by_all(G, Subgroup(parent=G, elements=grown))
+            conjugates = set(map(tuple, orbit.T.tolist()))
+            known |= conjugates
             if record(len(grown)):
-                found.append(grown)
+                classes.append(conjugates)
             if grow(len(grown)):
                 stack.append((grown, gens + [g]))
-    return [Subgroup(parent=G, elements=e) for e in sorted(found)]
+    members = sorted((e, c) for c, conjugates in enumerate(classes) for e in conjugates)
+    first_seen = {}
+    class_ids = [first_seen.setdefault(c, len(first_seen)) for _, c in members]
+    return [Subgroup(parent=G, elements=e) for e, _ in members], class_ids
 
 
-def subgroups_of_order(G, m, budget=DEFAULT_SUBGROUP_BUDGET):
-    """All subgroups of order m, deduplicated, in deterministic order.
+def subgroup_classes_of_order(G, m, budget=DEFAULT_SUBGROUP_BUDGET):
+    """The subgroups of order m, as ``subgroups_of_order`` lists them, and
+    the id of each one's conjugacy class in G.
 
-    Non-divisors of |G| yield an empty list (Lagrange), not an error.
-    Growth is pruned to proper divisors of m: by Lagrange every subgroup
-    on the way up to an order-m subgroup has such an order.  A closure
-    stops as soon as it has more than m elements.
+    Two of them share an id exactly when they are conjugate; ids count
+    the classes in order of their first member.  Non-divisors of |G|
+    yield no subgroups (Lagrange), not an error.  Growth is pruned to
+    proper divisors of m: by Lagrange every subgroup on the way up to an
+    order-m subgroup has such an order.  A closure stops as soon as it
+    has more than m elements.
     """
     if m < 1 or G.order % m:
-        return []
+        return [], []
     return _enumerate_subgroups(
         G, lambda n: n == m, lambda n: n < m and m % n == 0, budget, m
     )
+
+
+def subgroups_of_order(G, m, budget=DEFAULT_SUBGROUP_BUDGET):
+    """All subgroups of order m, deduplicated, in deterministic order."""
+    return subgroup_classes_of_order(G, m, budget)[0]
 
 
 def all_subgroups(G, budget=DEFAULT_SUBGROUP_BUDGET):
@@ -447,7 +479,7 @@ def all_subgroups(G, budget=DEFAULT_SUBGROUP_BUDGET):
     if G._all_subgroups is None:
         G._all_subgroups = _enumerate_subgroups(
             G, lambda n: True, lambda n: True, budget, G.order
-        )
+        )[0]
     return G._all_subgroups
 
 

@@ -92,10 +92,13 @@ def coset_fixed_points(elems, subgroup, g):
     )
 
 
-def class_counts(elems, subgroup):
-    """Per-class intersection sizes, classes sorted by minimal element."""
-    classes = sorted(conjugacy_classes(elems), key=lambda c: min(c))
-    return tuple(len(c & set(subgroup)) for c in classes)
+def class_counts(elems, subgroup, classes=None):
+    """Per-class intersection sizes, classes sorted by minimal element.
+
+    ``classes`` may pass in ``conjugacy_classes(elems)`` computed once."""
+    if classes is None:
+        classes = conjugacy_classes(elems)
+    return tuple(len(c & set(subgroup)) for c in sorted(classes, key=min))
 
 
 def exact_inner_product(values_a, values_b, class_sizes, order):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from sunadalab.errors import (
     NotASubgroupError,
     ParseError,
 )
+from sunadalab.gassmann import gassmann_search
 from sunadalab.permgrp import (
     Permutation,
     conjugate_by_all,
@@ -207,8 +210,8 @@ def test_s5_has_156_subgroups():
 @pytest.mark.parametrize(
     "make, search, closures, count",
     [
-        (_psl32, lambda G, b: sl.subgroups_of_order(G, 24, budget=b), 6243, 14),
-        (_s5, lambda G, b: sl.all_subgroups(G, budget=b), 4169, 156),
+        (_psl32, lambda G, b: sl.subgroups_of_order(G, 24, budget=b), 501, 14),
+        (_s5, lambda G, b: sl.all_subgroups(G, budget=b), 496, 156),
     ],
     ids=["psl32-order-24", "s5-all"],
 )
@@ -219,13 +222,21 @@ def test_budget_is_exact(make, search, closures, count):
     assert len(search(G, closures)) == count
 
 
-def test_psl32_lattice():
-    G = _psl32()
+def _check_lattice_by_order(G, count):
     everything = sl.all_subgroups(G)
-    assert len(everything) == 179
-    for m in (8, 12, 21, 24):
-        expect = [H.elements for H in everything if H.order == m]
-        assert [H.elements for H in sl.subgroups_of_order(G, m)] == expect
+    assert len(everything) == count
+    for m in range(1, G.order + 1):
+        if G.order % m == 0:
+            expect = [H.elements for H in everything if H.order == m]
+            assert [H.elements for H in sl.subgroups_of_order(G, m)] == expect
+
+
+def test_psl32_lattice():
+    _check_lattice_by_order(_psl32(), 179)
+
+
+def test_s5_lattice():
+    _check_lattice_by_order(_s5(), 156)
 
 
 def test_are_conjugate(s3, aff8_triple):
@@ -257,6 +268,58 @@ def test_conjugate_by_all_matches_each_conjugate(s4):
             assert sl.are_conjugate_subgroups(s4, H1, H2) == (
                 H2.elements in orbits[H1.elements]
             )
+
+
+def _check_subgroup_classes(G):
+    """Each class the enumerator returns is closed under conjugation, and
+    equal-order subgroups share a class id exactly when they are conjugate."""
+    for m in range(1, G.order + 1):
+        if G.order % m:
+            continue
+        subs, ids = sl.subgroup_classes_of_order(G, m)
+        assert [H.elements for H in subs] == [
+            H.elements for H in sl.all_subgroups(G) if H.order == m
+        ]
+        first_seen = list(dict.fromkeys(ids))
+        assert first_seen == list(range(len(first_seen)))
+        members = {}
+        for H, c in zip(subs, ids):
+            members.setdefault(c, set()).add(H.elements)
+        for H, c in zip(subs, ids):
+            assert set(map(tuple, conjugate_by_all(G, H).T.tolist())) == members[c]
+        for i, j in itertools.combinations(range(len(subs)), 2):
+            assert (ids[i] == ids[j]) == sl.are_conjugate_subgroups(G, subs[i], subs[j])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.permutations(list(range(4))), min_size=1, max_size=3))
+def test_subgroup_classes_in_s4(gens):
+    _check_subgroup_classes(generate_group(4, [Permutation(g) for g in gens]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 31), min_size=1, max_size=3))
+def test_subgroup_classes_in_aff8(aff8, picks):
+    gens = [aff8.elements[i] for i in picks]
+    _check_subgroup_classes(generate_group(8, gens))
+
+
+def test_psl211_order_60_search():
+    G = sl.load_bundled_group("psl211")
+    assert G.order == 660
+    subs, ids = sl.subgroup_classes_of_order(G, 60)
+    assert (len(subs), len(set(ids))) == (22, 2)
+    pairs = gassmann_search(G, 60)
+    assert len(pairs) == 121
+    elems = [p.images for p in G.elements]
+    classes = oracles.conjugacy_classes(elems)
+    counts = {
+        H: oracles.class_counts(elems, [p.images for p in H.permutations()], classes)
+        for H in {H for pair in pairs for H in pair}
+    }
+    for H1, H2 in pairs:
+        assert counts[H1] == counts[H2]
+        assert not sl.are_conjugate_subgroups(G, H1, H2)
 
 
 # --- coset spaces ------------------------------------------------------------
