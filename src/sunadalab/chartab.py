@@ -171,20 +171,32 @@ def inner_product(partition, values_a, values_b):
     return complex(np.sum(sizes * a * np.conj(b)) / partition.group.order)
 
 
-def multiplicity(ct, values, row, tol=INTEGRALITY_TOL):
-    """Multiplicity of irreducible row ``row`` inside the character ``values``.
+def multiplicities(ct, values, tol=INTEGRALITY_TOL):
+    """Multiplicity of every irreducible row inside the character ``values``.
 
-    The pairing must be a non-negative integer within ``tol``.
+    All rows are paired at once, as in ``inner_product``.  Each pairing
+    must be a non-negative integer within ``tol``; the error names the
+    first row that is not.
     """
     if isinstance(values, ClassFunction):
         values = values.values
-    m = inner_product(ct.partition, values, ct.table[row])
-    m_int = int(round(m.real))
-    if m_int < 0 or abs(m - m_int) > tol:
+    sizes = np.asarray(ct.partition.class_sizes, dtype=np.float64)
+    a = np.asarray(values, dtype=np.complex128)
+    m = np.sum((sizes * a)[None, :] * np.conj(ct.table), axis=1) / ct.group.order
+    m_int = np.round(m.real).astype(int)
+    bad = np.flatnonzero((m_int < 0) | (np.abs(m - m_int) > tol))
+    if bad.size:
+        row = int(bad[0])
         raise NonIntegralError(
-            f"multiplicity of irrep {row} is {m}, not a non-negative integer"
+            f"multiplicity of irrep {row} is {complex(m[row])}, not a non-negative integer"
         )
-    return m_int
+    return tuple(int(v) for v in m_int)
+
+
+def multiplicity(ct, values, row, tol=INTEGRALITY_TOL):
+    """Multiplicity of irreducible row ``row`` inside the character ``values``,
+    read from ``multiplicities``, which checks every row."""
+    return multiplicities(ct, values, tol)[row]
 
 
 def permutation_character(G, H):

@@ -319,8 +319,8 @@ def _add_common(p):
     p.add_argument("--budget", type=int,
                    default=_env("BUDGET", int, DEFAULT_SUBGROUP_BUDGET),
                    help="closure budget for subgroup searches: one closure "
-                        "per right-coset representative tried, for each "
-                        "conjugacy class representative")
+                        "per N_G(H)-orbit of right cosets of each conjugacy "
+                        "class representative H")
     p.add_argument("--max-order", dest="max_order", type=int,
                    default=_env("MAX_ORDER", int, DEFAULT_MAX_ORDER),
                    help="largest group order to enumerate")

@@ -18,7 +18,7 @@ import numpy as np
 from .chartab import (
     character_table,
     irreps_with_fixed_vectors,
-    multiplicity,
+    multiplicities,
     permutation_character,
 )
 from .errors import PreconditionError
@@ -73,11 +73,7 @@ def induced_multiplicities(G, H, ct=None):
     """Multiplicity of each irreducible in the coset representation on G/H."""
     if ct is None:
         ct = character_table(G)
-    return _multiplicities(ct, permutation_character(G, H))
-
-
-def _multiplicities(ct, pc):
-    return tuple(multiplicity(ct, pc, r) for r in range(ct.num_irreps))
+    return multiplicities(ct, permutation_character(G, H))
 
 
 def representation_equivalent(G, H1, H2, ct=None):
@@ -120,7 +116,7 @@ def triple_report(G, H1, H2, ct=None):
     c2 = class_intersection_counts(G, H2)
     ac = c1 == c2
     pc = permutation_character(G, H1)
-    rep_eq = _multiplicities(ct, pc) == induced_multiplicities(G, H2, ct)
+    rep_eq = multiplicities(ct, pc) == induced_multiplicities(G, H2, ct)
     if ac != rep_eq:
         raise PreconditionError(
             "class counting and character multiplicities disagree; "

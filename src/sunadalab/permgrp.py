@@ -166,6 +166,10 @@ class PermutationGroup:
         self._inv = None
         self._classes = None
         self._all_subgroups = None
+        # element tuple of each subgroup whose class is known -> its least
+        # conjugate; classes are entered whole, and the trivial subgroup
+        # is a class of its own
+        self._class_label = {(0,): (0,)}
 
     @property
     def table(self):
@@ -341,19 +345,20 @@ def subgroup_from_indices(G, indices):
 
 
 def coset_space(G, H):
-    """Left coset space G/H with the left-translation action table."""
+    """Left coset space G/H with the left-translation action table.
+
+    Each coset xH is numbered by the rank of its least element, so coset
+    0 is H and ``coset_reps`` lists the least elements in ascending order;
+    x is the least element of xH exactly when it is its own label.
+    """
     _check_subgroup(G, H)
-    h_idx = H.indices()
-    coset_of = np.full(G.order, -1, dtype=np.int64)
-    reps = []
-    for x in range(G.order):
-        if coset_of[x] < 0:
-            coset_of[np.asarray(G.table[x, h_idx], dtype=np.int64)] = len(reps)
-            reps.append(x)
-    action = coset_of[G.table[:, np.asarray(reps, dtype=np.int64)]]
+    least = G.table[:, H.indices()].min(axis=1)
+    reps = np.flatnonzero(least == np.arange(G.order))
+    coset_of = np.searchsorted(reps, least)
+    action = coset_of[G.table[:, reps]]
     return CosetSpace(
         subgroup=H,
-        coset_reps=tuple(reps),
+        coset_reps=tuple(reps.tolist()),
         action=action,
         coset_of=coset_of,
     )
@@ -374,14 +379,33 @@ def conjugate_by_all(G, H):
     return np.sort(conj, axis=0)
 
 
+def _record_class(G, elements):
+    """The conjugacy class of the subgroup with these sorted element
+    indices, as a set of element tuples, and its normalizer N_G(H), the
+    columns of the one ``conjugate_by_all`` gather that equal H.  Every
+    member is entered in ``G._class_label``."""
+    orbit = conjugate_by_all(G, Subgroup(parent=G, elements=elements))
+    conjugates = set(map(tuple, orbit.T.tolist()))
+    label = min(conjugates)
+    G._class_label.update(dict.fromkeys(conjugates, label))
+    normalizer = np.flatnonzero(np.all(orbit == np.asarray(elements)[:, None], axis=0))
+    return conjugates, normalizer
+
+
 def are_conjugate_subgroups(G, H1, H2):
-    """True iff some inner automorphism maps H1 onto H2 as a set."""
+    """True iff some inner automorphism maps H1 onto H2 as a set.
+
+    Reads the class labels cached on G; on a miss, H1's whole class is
+    recorded with one gather, so H2 is conjugate to H1 exactly when it
+    carries the same label.
+    """
     _check_subgroup(G, H1)
     _check_subgroup(G, H2)
     if H1.order != H2.order:
         return False
-    target = H2.indices()[:, None]
-    return bool(np.any(np.all(conjugate_by_all(G, H1) == target, axis=0)))
+    if H1.elements not in G._class_label:
+        _record_class(G, H1.elements)
+    return G._class_label.get(H2.elements) == G._class_label[H1.elements]
 
 
 def _enumerate_subgroups(G, record, grow, budget, limit):
@@ -393,43 +417,55 @@ def _enumerate_subgroups(G, record, grow, budget, limit):
 
     Each representative H whose order passes ``grow`` is extended to
     <H, g> for one g in every right coset Hg other than H itself, which
-    is enough because <H, g> = <H, hg>.  A closure that is not yet known
-    has its whole class computed with one ``conjugate_by_all`` gather;
-    every member becomes known, and the closure is the class's
-    representative.  A closure that is known is dropped.
+    is enough because <H, g> = <H, hg>, and up to conjugation by the
+    normalizer N = N_G(H): once g is tried, every right coset H(n g n^{-1})
+    with n in N is covered, because <H, n g n^{-1}> = n <H, g> n^{-1}.  At
+    the trivial subgroup that is one closure per non-identity conjugacy
+    class of elements.  A closure that is not yet known has its whole
+    class computed with one ``conjugate_by_all`` gather, which also gives
+    its normalizer; every member becomes known, and the closure is the
+    class's representative.  A closure that is known is dropped.
 
     Every class is still found.  Take a chain 1 = K_0 < K_1 < ... < K_r = K
     with K_{i+1} = <K_i, g>.  Each K_i with i < r has a proper divisor
     of |K| as its order, so it passes ``grow`` whenever |K| passes
     ``record``.  By induction on i, K_i's class has a representative
-    x K_i x^{-1} that the DFS extends; the trivial subgroup starts it.
-    Since g is not in K_i, some right coset of x K_i x^{-1} other than
-    itself holds x g x^{-1}.  The DFS tries some h x g x^{-1} with h in
-    x K_i x^{-1}, and that closure is x K_{i+1} x^{-1}, within the
-    limit.  So K_{i+1}'s class is known and has a representative, and
-    K's class is recorded whole.
+    H = x K_i x^{-1} that the DFS extends; the trivial subgroup starts it.
+    Since g is not in K_i, some right coset of H other than H itself
+    holds y = x g x^{-1}, and <H, y> = x K_{i+1} x^{-1} is within the
+    limit.  That coset is covered.  Either the DFS tried some h y with h
+    in H, whose closure is <H, y>; or it tried some g' with y in
+    H(n g' n^{-1}) for an n in N, and then <H, g'> = n^{-1} <H, y> n has the
+    order of <H, y>, so its closure stays within the limit and is
+    conjugate to x K_{i+1} x^{-1}.  Either way K_{i+1}'s class is known
+    and has a representative, and K's class is recorded whole.
 
     Neither predicate may pass an order above ``limit``: the closure of
     <H, g> stops once it outgrows the limit.  The budget counts closure
-    computations, one per right-coset representative tried.  The stack
-    keeps each representative's generators, the g's along its path, for
-    the coset extension.
+    computations, one per orbit of right cosets tried.  The stack keeps
+    each representative's generators, the g's along its path, for the
+    coset extension, and its normalizer.  Every class computed is entered
+    in ``G._class_label``; the drop test reads this call's own ``known``
+    set, since a class known from an earlier call has no representative
+    on this call's stack.
     """
     table = G.table
     trivial = (0,)
     known = {trivial}
     classes = [{trivial}] if record(1) else []
-    stack = [(trivial, [])] if grow(1) else []
+    stack = [(trivial, [], np.arange(G.order))] if grow(1) else []
     closures = 0
     while stack:
-        elements, gens = stack.pop()
+        elements, gens, normalizer = stack.pop()
         current = np.asarray(elements, dtype=np.int64)
         covered = np.zeros(G.order, dtype=bool)
         covered[current] = True
+        normalizer_inv = G.inverses[normalizer]
         for g in range(1, G.order):
             if covered[g]:
                 continue
-            covered[table[current, g]] = True
+            conjugates_of_g = table[normalizer, table[g, normalizer_inv]]
+            covered[table[current[:, None], conjugates_of_g]] = True
             closures += 1
             if closures > budget:
                 raise BudgetExceededError(
@@ -438,13 +474,12 @@ def _enumerate_subgroups(G, record, grow, budget, limit):
             grown = tuple(_kernels.closure(table, gens + [g], current, limit).tolist())
             if not grown or grown in known:  # empty: outgrew the limit
                 continue
-            orbit = conjugate_by_all(G, Subgroup(parent=G, elements=grown))
-            conjugates = set(map(tuple, orbit.T.tolist()))
+            conjugates, grown_normalizer = _record_class(G, grown)
             known |= conjugates
             if record(len(grown)):
                 classes.append(conjugates)
             if grow(len(grown)):
-                stack.append((grown, gens + [g]))
+                stack.append((grown, gens + [g], grown_normalizer))
     members = sorted((e, c) for c, conjugates in enumerate(classes) for e in conjugates)
     first_seen = {}
     class_ids = [first_seen.setdefault(c, len(first_seen)) for _, c in members]

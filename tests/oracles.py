@@ -52,6 +52,14 @@ def conjugacy_classes(elems):
     return set(classes)
 
 
+def are_conjugate(elems, sub_a, sub_b):
+    """True iff x A x^-1 == B for some x in ``elems``."""
+    a, b = set(sub_a), set(sub_b)
+    return len(a) == len(b) and any(
+        {compose(compose(x, h), inverse(x)) for h in a} == b for x in elems
+    )
+
+
 def subgroup_closure(elems, gens):
     degree = len(next(iter(elems)))
     sub = closure(gens, degree)
@@ -90,6 +98,23 @@ def coset_fixed_points(elems, subgroup, g):
         for c in cosets
         if frozenset(compose(g, x) for x in c) == c
     )
+
+
+def coset_space(table, subgroup):
+    """Left cosets xH numbered first fit: scan the element indices in
+    order, and each one not yet in a coset opens the next coset.
+    ``table`` is the composition table as nested lists and ``subgroup``
+    the element indices of H.  Returns (reps, coset_of, action) as lists,
+    with action[g][c] the coset of g * reps[c]."""
+    coset_of = [-1] * len(table)
+    reps = []
+    for x in range(len(table)):
+        if coset_of[x] < 0:
+            for h in subgroup:
+                coset_of[table[x][h]] = len(reps)
+            reps.append(x)
+    action = [[coset_of[row[r]] for r in reps] for row in table]
+    return reps, coset_of, action
 
 
 def class_counts(elems, subgroup, classes=None):

@@ -97,16 +97,31 @@ def test_multiplicity_rejects_non_integral(s3):
 
 def test_multiplicity_exact_inner_product(s4):
     # the float pairing must agree with exact rational arithmetic on
-    # integer class functions
+    # integer class functions; every character of S4 is integer valued
     ct = ch.character_table(s4)
+    rows = [ct.row(r).integer_values() for r in range(ct.num_irreps)]
     for H in sl.all_subgroups(s4):
         pc = ch.permutation_character(s4, H)
         vals = pc.integer_values()
-        triv = oracles.exact_inner_product(
-            vals, (1,) * ct.num_irreps, ct.partition.class_sizes, s4.order
-        )
-        assert triv.denominator == 1
-        assert ch.multiplicity(ct, pc, 0) == int(triv)
+        exact = [
+            oracles.exact_inner_product(vals, row, ct.partition.class_sizes, s4.order)
+            for row in rows
+        ]
+        assert all(m.denominator == 1 for m in exact)
+        assert ch.multiplicities(ct, pc) == tuple(int(m) for m in exact)
+        assert ch.multiplicity(ct, pc, 0) == int(exact[0])
+
+
+def test_multiplicities_name_first_bad_row(s3):
+    ct = ch.character_table(s3)
+    # half of each of rows 1 and 2: both pair to 1/2, row 0 to 0
+    half = 0.5 * (ct.table[1] + ct.table[2])
+    with pytest.raises(NonIntegralError, match="irrep 1 ") as err:
+        ch.multiplicities(ct, half)
+    assert "irrep 2" not in str(err.value)
+    negative = ct.table[0] - ct.table[2]
+    with pytest.raises(NonIntegralError, match="irrep 2 "):
+        ch.multiplicities(ct, negative)
 
 
 def test_fixed_vector_rows_monotone(d4):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 import sunadalab as sl
+from sunadalab import permgrp
 from sunadalab.errors import (
     BudgetExceededError,
     GroupSizeError,
@@ -210,8 +211,8 @@ def test_s5_has_156_subgroups():
 @pytest.mark.parametrize(
     "make, search, closures, count",
     [
-        (_psl32, lambda G, b: sl.subgroups_of_order(G, 24, budget=b), 501, 14),
-        (_s5, lambda G, b: sl.all_subgroups(G, budget=b), 496, 156),
+        (_psl32, lambda G, b: sl.subgroups_of_order(G, 24, budget=b), 65, 14),
+        (_s5, lambda G, b: sl.all_subgroups(G, budget=b), 85, 156),
     ],
     ids=["psl32-order-24", "s5-all"],
 )
@@ -270,6 +271,32 @@ def test_conjugate_by_all_matches_each_conjugate(s4):
             )
 
 
+@pytest.mark.parametrize("name", ["s4", "aff8"])
+def test_are_conjugate_matches_oracle(name, monkeypatch):
+    """On every pair of subgroups, the cached class labels agree with the
+    plain-Python test, both on a group that has enumerated nothing and
+    after ``all_subgroups``, which leaves no gather to do."""
+    elements = [H.elements for H in sl.all_subgroups(sl.load_bundled_group(name))]
+    warm = sl.load_bundled_group(name)
+    sl.all_subgroups(warm)
+    gathered = []
+    gather = permgrp.conjugate_by_all
+    monkeypatch.setattr(
+        permgrp, "conjugate_by_all", lambda G, H: gathered.append(G) or gather(G, H)
+    )
+    images = [p.images for p in warm.elements]
+    for e1 in elements:
+        cold = sl.load_bundled_group(name)
+        for e2 in elements:
+            expect = oracles.are_conjugate(
+                images, [images[i] for i in e1], [images[i] for i in e2]
+            )
+            for G in (cold, warm):
+                H1, H2 = (sl.subgroup_from_indices(G, e) for e in (e1, e2))
+                assert sl.are_conjugate_subgroups(G, H1, H2) == expect
+    assert gathered and not any(G is warm for G in gathered)
+
+
 def _check_subgroup_classes(G):
     """Each class the enumerator returns is closed under conjugation, and
     equal-order subgroups share a class id exactly when they are conjugate."""
@@ -285,10 +312,11 @@ def _check_subgroup_classes(G):
         members = {}
         for H, c in zip(subs, ids):
             members.setdefault(c, set()).add(H.elements)
-        for H, c in zip(subs, ids):
-            assert set(map(tuple, conjugate_by_all(G, H).T.tolist())) == members[c]
+        orbits = [set(map(tuple, conjugate_by_all(G, H).T.tolist())) for H in subs]
+        for orbit, c in zip(orbits, ids):
+            assert orbit == members[c]
         for i, j in itertools.combinations(range(len(subs)), 2):
-            assert (ids[i] == ids[j]) == sl.are_conjugate_subgroups(G, subs[i], subs[j])
+            assert (ids[i] == ids[j]) == (subs[j].elements in orbits[i])
 
 
 @settings(max_examples=25, deadline=None)
@@ -317,9 +345,12 @@ def test_psl211_order_60_search():
         H: oracles.class_counts(elems, [p.images for p in H.permutations()], classes)
         for H in {H for pair in pairs for H in pair}
     }
+    orbits = {}
     for H1, H2 in pairs:
         assert counts[H1] == counts[H2]
-        assert not sl.are_conjugate_subgroups(G, H1, H2)
+        if H1 not in orbits:
+            orbits[H1] = set(map(tuple, conjugate_by_all(G, H1).T.tolist()))
+        assert H2.elements not in orbits[H1]
 
 
 # --- coset spaces ------------------------------------------------------------
@@ -344,6 +375,20 @@ def test_coset_action_is_homomorphism(d4):
         for j in range(d4.order):
             k = d4.mul(i, j)
             assert np.array_equal(cs.action[k], cs.action[i][cs.action[j]])
+
+
+@pytest.mark.parametrize("make", [lambda: sl.load_bundled_group("s4"),
+                                  lambda: sl.load_bundled_group("aff8"), _psl32],
+                         ids=["s4", "aff8", "psl32"])
+def test_coset_space_matches_first_fit_loop(make):
+    G = make()
+    table = G.table.tolist()
+    for H in sl.all_subgroups(G):
+        cs = sl.coset_space(G, H)
+        reps, coset_of, action = oracles.coset_space(table, H.elements)
+        assert cs.coset_reps == tuple(reps)
+        assert cs.coset_of.tolist() == coset_of
+        assert cs.action.tolist() == action
 
 
 def test_coset_fixed_points_match_bruteforce(s3):
