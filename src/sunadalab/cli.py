@@ -136,11 +136,12 @@ def cmd_group_info(args):
 
 def cmd_gassmann(args):
     G = _load_group(args)
+    ct = chartab.character_table(G, seed=args.seed)
     if args.search is not None:
         if args.h1 or args.h2:
             raise PreconditionError("--search replaces the subgroup files")
         pairs = gassmann.gassmann_search(G, args.search, budget=args.budget)
-        reports = [gassmann.triple_report(G, h1, h2).to_json_dict() for h1, h2 in pairs]
+        reports = [gassmann.triple_report(G, h1, h2, ct=ct).to_json_dict() for h1, h2 in pairs]
         report = {
             "command": "gassmann",
             "group_file": args.group,
@@ -155,7 +156,7 @@ def cmd_gassmann(args):
         raise PreconditionError("need two subgroup files or --search m")
     H1 = load_subgroup_file(args.h1, G)
     H2 = load_subgroup_file(args.h2, G)
-    _emit(gassmann.triple_report(G, H1, H2).to_json_dict(), args.out)
+    _emit(gassmann.triple_report(G, H1, H2, ct=ct).to_json_dict(), args.out)
     return 0
 
 
@@ -308,26 +309,26 @@ def cmd_heat(args):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--tol", type=float, default=_env("TOL", float, 1e-9),
-                   help="spectral comparison tolerance")
-    p.add_argument("--cluster-tol", dest="cluster_tol", type=float,
-                   default=_env("CLUSTER_TOL", float, None),
-                   help="eigenvalue clustering tolerance (default: scaled)")
-    p.add_argument("--nmax", type=int, default=_env("NMAX", int, None),
-                   help="flat-model truncation index")
-    p.add_argument("--budget", type=int,
-                   default=_env("BUDGET", int, DEFAULT_SUBGROUP_BUDGET),
-                   help="closure budget for subgroup searches: one closure "
-                        "per N_G(H)-orbit of right cosets of each conjugacy "
-                        "class representative H")
-    p.add_argument("--max-order", dest="max_order", type=int,
-                   default=_env("MAX_ORDER", int, DEFAULT_MAX_ORDER),
-                   help="largest group order to enumerate")
-    p.add_argument("--seed", type=int, default=_env("SEED", int, 0),
-                   help="seed for randomized internals")
-    p.add_argument("--out", default=_env("OUT", str, None),
-                   help="write the report here instead of stdout")
+# dest -> (type, fallback, help); SUNADALAB_<DEST> overrides the fallback
+_COMMON_FLAGS = {
+    "tol": (float, 1e-9, "spectral comparison tolerance"),
+    "cluster_tol": (float, None, "eigenvalue clustering tolerance (default: scaled)"),
+    "nmax": (int, None, "flat-model truncation index"),
+    "budget": (int, DEFAULT_SUBGROUP_BUDGET,
+               "closure budget for subgroup searches: one closure per "
+               "N_G(H)-orbit of right cosets of each conjugacy class "
+               "representative H"),
+    "max_order": (int, DEFAULT_MAX_ORDER, "largest group order to enumerate"),
+    "seed": (int, 0, "seed for randomized internals"),
+    "out": (str, None, "write the report here instead of stdout"),
+}
+
+
+def _add_common(p, *dests):
+    for dest in dests:
+        cast, fallback, help_text = _COMMON_FLAGS[dest]
+        p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=cast,
+                       default=_env(dest.upper(), cast, fallback), help=help_text)
 
 
 def build_parser():
@@ -339,7 +340,7 @@ def build_parser():
 
     p = sub.add_parser("group-info", help="order, classes, character table")
     p.add_argument("group", help="group file")
-    _add_common(p)
+    _add_common(p, "max_order", "seed", "out")
     p.set_defaults(func=cmd_group_info)
 
     p = sub.add_parser("gassmann", help="certify or search almost conjugate pairs")
@@ -348,7 +349,7 @@ def build_parser():
     p.add_argument("h2", nargs="?", help="second subgroup file")
     p.add_argument("--search", type=int, default=None,
                    help="search all subgroup pairs of this order instead")
-    _add_common(p)
+    _add_common(p, "max_order", "budget", "seed", "out")
     p.set_defaults(func=cmd_gassmann)
 
     p = sub.add_parser("sunada", help="run the Cayley pipeline on a triple")
@@ -358,7 +359,7 @@ def build_parser():
     p.add_argument("--k", default=None, help="subgroup file for the equivalence level")
     p.add_argument("--gens", default=None,
                    help="semicolon-separated connection elements in cycle notation")
-    _add_common(p)
+    _add_common(p, "max_order", "seed", "cluster_tol", "tol", "out")
     p.set_defaults(func=cmd_sunada)
 
     p = sub.add_parser("heat", help="flat-model indicators and audibility")
@@ -374,7 +375,7 @@ def build_parser():
     p.add_argument("--trace-tol", dest="trace_tol", type=float,
                    default=_env("TRACE_TOL", float, None),
                    help="fail if a truncation bound exceeds this")
-    _add_common(p)
+    _add_common(p, "nmax", "tol", "out")
     p.set_defaults(func=cmd_heat)
 
     return parser

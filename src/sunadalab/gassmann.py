@@ -168,14 +168,18 @@ def gassmann_search(
 
 
 def _dedup_orbits(G, pairs):
+    """The first pair of each orbit under simultaneous conjugation.  Each
+    distinct subgroup is conjugated by all of G once; with an id for each
+    conjugate, the least sorted id pair of g (H1, H2) g^-1 names the orbit."""
+    ids, conjugates = {}, {}
+    for elements, H in {H.elements: H for pair in pairs for H in pair}.items():
+        columns = conjugate_by_all(G, H).T.tolist()
+        conjugates[elements] = np.array([ids.setdefault(tuple(c), len(ids)) for c in columns])
     seen = set()
     kept = []
     for H1, H2 in pairs:
-        orbit = zip(
-            map(tuple, conjugate_by_all(G, H1).T.tolist()),
-            map(tuple, conjugate_by_all(G, H2).T.tolist()),
-        )
-        key = min(tuple(sorted(pair)) for pair in orbit)
+        a, b = conjugates[H1.elements], conjugates[H2.elements]
+        key = int((np.minimum(a, b) * len(ids) + np.maximum(a, b)).min())
         if key not in seen:
             seen.add(key)
             kept.append((H1, H2))

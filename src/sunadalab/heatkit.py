@@ -329,12 +329,6 @@ class AudibilityReport:
         }
 
 
-def _expanded(spec):
-    values, mults, label = _as_value_mult_arrays(spec)
-    counts = mults.astype(np.int64)
-    return np.repeat(values, counts), label
-
-
 def _volume_of(spec):
     if isinstance(spec, FlatModelSpectrum):
         return spec.volume
@@ -347,16 +341,34 @@ def spectra_close(spec_a, spec_b, tol=1e-9):
     """Compare two spectra eigenvalue by eigenvalue with multiplicity.
 
     Finite spectra must have equal total counts; truncated flat models
-    are compared on their common initial segment.
+    are compared on their common initial segment.  The lists are not
+    written out: the two are compared at every run start of either.
     """
-    a, label_a = _expanded(spec_a)
-    b, label_b = _expanded(spec_b)
-    if label_a == "finite" and label_b == "finite" and len(a) != len(b):
+    run_a, label_a = _runs(spec_a)
+    run_b, label_b = _runs(spec_b)
+    total_a, total_b = run_a[1][-1], run_b[1][-1]
+    if label_a == label_b == "finite" and total_a != total_b:
         return False
-    k = min(len(a), len(b))
+    k = min(total_a, total_b)
     if k == 0:
-        return len(a) == len(b)
-    return bool(np.max(np.abs(a[:k] - b[:k])) <= tol)
+        return bool(total_a == total_b)
+    for (values_x, bounds_x), (values_y, bounds_y) in ((run_a, run_b), (run_b, run_a)):
+        starts = bounds_x[: np.searchsorted(bounds_x[:-1], k)]
+        y = values_y[np.searchsorted(bounds_y, starts, side="right") - 1]
+        if not np.all(np.abs(values_x[: len(starts)] - y) <= tol):
+            return False
+    return True
+
+
+def _runs(spec):
+    """(values, bounds) of a spectrum's non-empty runs, and its label;
+    value i fills positions bounds[i] to bounds[i+1] - 1."""
+    values, mults, label = _as_value_mult_arrays(spec)
+    counts = mults.astype(np.int64)
+    if np.any(counts < 0):
+        raise PreconditionError("multiplicities must be non-negative")
+    bounds = np.concatenate(([0], np.cumsum(counts[counts > 0])))
+    return (values[counts > 0], bounds), label
 
 
 def singularity_audibility_report(

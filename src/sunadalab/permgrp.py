@@ -352,9 +352,7 @@ def coset_space(G, H):
     x is the least element of xH exactly when it is its own label.
     """
     _check_subgroup(G, H)
-    least = G.table[:, H.indices()].min(axis=1)
-    reps = np.flatnonzero(least == np.arange(G.order))
-    coset_of = np.searchsorted(reps, least)
+    reps, coset_of = orbit_numbering(G.table[:, H.indices()].min(axis=1))
     action = coset_of[G.table[:, reps]]
     return CosetSpace(
         subgroup=H,
@@ -362,6 +360,15 @@ def coset_space(G, H):
         action=action,
         coset_of=coset_of,
     )
+
+
+def orbit_numbering(label):
+    """Number the classes of a labelling that gives each point a point of
+    its class labelled by itself, such as the least point of its orbit.
+    Returns those self-labelled representatives in ascending order and
+    each point's class, the index of its label among them."""
+    reps = np.flatnonzero(label == np.arange(len(label)))
+    return reps, np.searchsorted(reps, label)
 
 
 def conjugate_subgroup(G, H, g):

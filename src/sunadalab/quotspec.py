@@ -39,8 +39,8 @@ from .permgrp import (
     Subgroup,
     conjugacy_classes,
     coset_space,
+    orbit_numbering,
     parse_cycles,
-    subgroup_from_indices,
     subgroup_generate,
 )
 
@@ -279,9 +279,9 @@ def _pair_orbits(perms, n):
     for p in np.asarray(perms, dtype=np.int64):
         np.minimum(code, p[:, None] * n + p[None, :], out=code)
     code = np.minimum(code, code.T)
-    off_diagonal = ~np.eye(n, dtype=bool)
-    orbit = np.full((n, n), -1, dtype=np.int64)
-    orbit[off_diagonal] = np.unique(code[off_diagonal], return_inverse=True)[1]
+    np.fill_diagonal(code, n * n)  # no off-diagonal pair has this label
+    orbit = orbit_numbering(code.ravel())[1].reshape(n, n)
+    np.fill_diagonal(orbit, -1)
     return orbit
 
 
@@ -361,14 +361,10 @@ def spectrum(graph, cluster_tol=None):
 
 def averaging_projector(space, H):
     """Matrix of the averaging operator over H on functions of the
-    vertices; its range is the H-invariant subspace."""
-    _check_acting_subgroup(space, H)
-    n = space.n
-    p = np.zeros((n, n))
-    cols = np.arange(n)
-    for h in H.elements:
-        p[space.vertex_perms[h], cols] += 1.0
-    return p / H.order
+    vertices; its range is the H-invariant subspace.  Entry (u, v) is
+    |{h : h v = u}| / |H| = 1 / |orbit(v)| if u is in the orbit of v."""
+    label, size = _orbit_labels(space, H)
+    return np.where(label[:, None] == label[None, :], 1.0 / size, 0.0)
 
 
 def invariant_spectrum(space, H=None, cluster_tol=None):
@@ -376,8 +372,6 @@ def invariant_spectrum(space, H=None, cluster_tol=None):
 
     This is the quotient spectrum for any action, free or not.
     """
-    if H is None:
-        H = subgroup_from_indices(space.group, range(space.group.order))
     proj = averaging_projector(space, H)
     evals, evecs = np.linalg.eigh(proj)
     basis = evecs[:, evals > 0.5]
@@ -388,34 +382,42 @@ def invariant_spectrum(space, H=None, cluster_tol=None):
     return cluster_eigenvalues(values, cluster_tol)
 
 
+def _orbit_labels(space, H):
+    """Each vertex's H-orbit label, the least vertex of its orbit, and the
+    size of that orbit.  H=None stands for the whole group."""
+    if H is not None and H.parent is not space.group:
+        raise PreconditionError("subgroup acts through a different group object")
+    rows = space.vertex_perms if H is None else space.vertex_perms[H.indices()]
+    # rows lists every element of H, so column v holds the whole orbit of v
+    label = rows.min(axis=0)
+    return label, np.bincount(label, minlength=space.n)[label]
+
+
 def _orbit_basis(space, H):
     """Normalized indicators of the H-orbits on the vertices, as the
-    columns of an n x k matrix: an orthonormal basis of the H-invariant
-    functions."""
-    orbits = vertex_orbits(space, H)
-    basis = np.zeros((space.n, len(orbits)))
-    for a, orb in enumerate(orbits):
-        basis[list(orb), a] = 1.0 / np.sqrt(len(orb))
+    columns of an n x k matrix, listed by minimal vertex: an orthonormal
+    basis of the H-invariant functions."""
+    label, size = _orbit_labels(space, H)
+    reps, orbit = orbit_numbering(label)
+    basis = np.zeros((space.n, len(reps)))
+    basis[np.arange(space.n), orbit] = 1.0 / np.sqrt(size)
     return basis
 
 
 def vertex_orbits(space, H=None):
     """Orbits of H (default: the whole group) on the vertex set, each a
     sorted tuple, listed by minimal vertex."""
-    rows = space.vertex_perms if H is None else space.vertex_perms[H.indices()]
-    # rows lists every element of H, so column v holds the whole orbit of
-    # v, and its minimum labels that orbit
-    label = rows.min(axis=0)
+    label, _ = _orbit_labels(space, H)
     order = np.argsort(label, kind="stable")
     starts = np.flatnonzero(np.diff(label[order], prepend=-1))
     return [tuple(chunk.tolist()) for chunk in np.split(order, starts)[1:]]
 
 
 def is_free(space, H=None):
-    """True iff no non-identity element of H fixes a vertex."""
-    idx = range(1, space.group.order) if H is None else (h for h in H.elements if h)
-    fixed = space.vertex_perms == np.arange(space.n)[None, :]
-    return not any(fixed[h].any() for h in idx)
+    """True iff no non-identity element of H fixes a vertex: by
+    orbit-stabilizer, iff every orbit has |H| vertices."""
+    _, size = _orbit_labels(space, H)
+    return bool(np.all(size == (space.group.order if H is None else H.order)))
 
 
 def quotient_graph(space, H=None):
@@ -424,9 +426,6 @@ def quotient_graph(space, H=None):
     entire other orbit.  Weights inside an orbit are dropped with the
     diagonal.  Non-free actions have no graph quotient with the right
     spectrum; use invariant_spectrum for those."""
-    if H is None:
-        H = subgroup_from_indices(space.group, range(space.group.order))
-    _check_acting_subgroup(space, H)
     if not is_free(space, H):
         raise NonFreeActionError(
             "the action has a fixed vertex; the quotient is not a graph, "
@@ -439,11 +438,6 @@ def quotient_graph(space, H=None):
     np.fill_diagonal(q, 0.0)
     # the product is symmetric up to rounding; make it exactly so
     return weighted_graph((q + q.T) / 2.0)
-
-
-def _check_acting_subgroup(space, H):
-    if H.parent is not space.group:
-        raise PreconditionError("subgroup acts through a different group object")
 
 
 # ---------------------------------------------------------------------------
@@ -556,37 +550,24 @@ def equivariantly_isospectral(space1, space2, ct=None, tol=1e-9, cluster_tol=Non
         raise PreconditionError("the spaces carry different group objects")
     t1 = isotypic_multiplicities(space1, ct=ct, cluster_tol=cluster_tol)
     t2 = isotypic_multiplicities(space2, ct=ct, cluster_tol=cluster_tol)
+    reason = _first_difference(t1, t2, tol)
+    c1, c2 = t1.decomposition.clusters, t2.decomposition.clusters
+    return EquivarianceReport(equal=not reason, reason=reason, clusters_1=c1, clusters_2=c2)
+
+
+def _first_difference(t1, t2, tol):
+    """Why two isotypic tables differ, or "" if they agree."""
     c1, c2 = t1.decomposition.clusters, t2.decomposition.clusters
     if len(c1) != len(c2):
-        return EquivarianceReport(
-            equal=False,
-            reason=f"cluster counts differ: {len(c1)} vs {len(c2)}",
-            clusters_1=c1,
-            clusters_2=c2,
-        )
+        return f"cluster counts differ: {len(c1)} vs {len(c2)}"
     for i, ((v1, m1), (v2, m2)) in enumerate(zip(c1, c2)):
         if abs(v1 - v2) > tol:
-            return EquivarianceReport(
-                equal=False,
-                reason=f"cluster {i}: eigenvalues {v1} and {v2} differ by more than {tol}",
-                clusters_1=c1,
-                clusters_2=c2,
-            )
+            return f"cluster {i}: eigenvalues {v1} and {v2} differ by more than {tol}"
         if m1 != m2:
-            return EquivarianceReport(
-                equal=False,
-                reason=f"cluster {i}: multiplicities {m1} and {m2} differ",
-                clusters_1=c1,
-                clusters_2=c2,
-            )
+            return f"cluster {i}: multiplicities {m1} and {m2} differ"
         if not np.array_equal(t1.counts[i], t2.counts[i]):
-            return EquivarianceReport(
-                equal=False,
-                reason=f"cluster {i}: isotypic decompositions differ",
-                clusters_1=c1,
-                clusters_2=c2,
-            )
-    return EquivarianceReport(equal=True, reason="", clusters_1=c1, clusters_2=c2)
+            return f"cluster {i}: isotypic decompositions differ"
+    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +599,7 @@ def sunada_identity_check(space, H, K=None, ct=None, cluster_tol=None, tol=MULT_
     otherwise the comparison is not meaningful and a precondition error
     names the first offending irreducible.
     """
-    _check_acting_subgroup(space, H)
+    _orbit_labels(space, H)  # H must act through the space's group
     G = space.group
     if K is None:
         K = subgroup_generate(G, [])
@@ -685,13 +666,12 @@ def donnelly_support(space, ct=None, cluster_tol=None):
         ct = character_table(space.group)
     table = isotypic_multiplicities(space, ct=ct, cluster_tol=cluster_tol)
     observed = table.supported_rows()
-    orbits = vertex_orbits(space)
-    reps, stab_orders, row_sets = [], [], []
-    for orb in orbits:
-        v = orb[0]
-        stab = [g for g in range(space.group.order) if space.vertex_perms[g, v] == v]
-        K = subgroup_from_indices(space.group, stab)
-        reps.append(v)
+    label, _ = _orbit_labels(space, None)
+    reps = orbit_numbering(label)[0].tolist()
+    stab_orders, row_sets = [], []
+    for v in reps:
+        stab = np.flatnonzero(space.vertex_perms[:, v] == v)
+        K = Subgroup(parent=space.group, elements=tuple(stab.tolist()))
         stab_orders.append(K.order)
         row_sets.append(frozenset(irreps_with_fixed_vectors(ct, K)))
     union = frozenset().union(*row_sets) if row_sets else frozenset()
@@ -753,16 +733,15 @@ def fundamental_domain(space, H=None, base_vertex=0):
     k-th center in sorted order; the acting group permutes the cells the
     same way it permutes the centers.
     """
-    if H is None:
-        H = subgroup_from_indices(space.group, range(space.group.order))
-    _check_acting_subgroup(space, H)
+    label, _ = _orbit_labels(space, H)
     if not space.graph.connected:
         raise DisconnectedGraphError(
             "hop distances are infinite across components"
         )
     if not is_free(space, H):
         raise NonFreeActionError("Dirichlet cells need a free action")
-    centers = sorted(int(space.vertex_perms[h, base_vertex]) for h in H.elements)
+    # the action is free, so the centers h v are the orbit of v
+    centers = np.flatnonzero(label == label[base_vertex]).tolist()
     dists = np.stack([_hop_distances(space.graph, c) for c in centers])
     best = dists.min(axis=0)
     winners = dists == best[None, :]
@@ -783,19 +762,13 @@ def fundamental_domain(space, H=None, base_vertex=0):
 def cover_degree(space, H=None, t=1e-8):
     """Number of sheets of the covering onto the quotient of a free action.
 
-    The count n / (number of orbits) is cross-checked against the heat
-    traces of the total space and the quotient graph at small time, where
-    the trace ratio must approach the sheet count.
+    Each orbit of a free action has |H| vertices, so the count is |H|,
+    cross-checked against the heat traces of the total space and the
+    quotient graph at small time, whose ratio must approach it.
     """
-    if H is None:
-        H = subgroup_from_indices(space.group, range(space.group.order))
-    _check_acting_subgroup(space, H)
     if not is_free(space, H):
         raise NonFreeActionError("sheet counting needs a free action")
-    orbits = vertex_orbits(space, H)
-    if space.n % len(orbits):
-        raise NumericalError("orbit sizes are uneven for a free action")
-    degree = space.n // len(orbits)
+    degree = space.group.order if H is None else H.order
     quot = quotient_graph(space, H)
     t_grid = np.asarray([t], dtype=np.float64)
     top = _kernels.heat_sum(space.laplacian_eigh[0], np.ones(space.n), t_grid)[0]

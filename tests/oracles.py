@@ -204,3 +204,36 @@ def torus_heat_trace(a, b, nmax, t):
             eigenvalue = (2 * math.pi * m / a) ** 2 + (2 * math.pi * n / b) ** 2
             terms.append(math.exp(-eigenvalue * t))
     return math.fsum(terms)
+
+
+def spectra_close(pairs_a, finite_a, pairs_b, finite_b, tol):
+    """Compare two (eigenvalue, multiplicity) lists by writing out every
+    eigenvalue as often as its multiplicity.  Two finite spectra must
+    have equal totals; otherwise the common initial segment is compared."""
+    a = [v for v, m in pairs_a for _ in range(int(m))]
+    b = [v for v, m in pairs_b for _ in range(int(m))]
+    if finite_a and finite_b and len(a) != len(b):
+        return False
+    k = min(len(a), len(b))
+    if k == 0:
+        return len(a) == len(b)
+    return max(abs(x - y) for x, y in zip(a[:k], b[:k])) <= tol
+
+
+def averaging_projector(perms, n):
+    """Average of the permutation matrices of the rows of ``perms`` (one
+    row per element of H): entry [h(v)][v] gains 1 for each row h, and
+    the sum is divided by the number of rows.  Nested lists."""
+    p = [[0.0] * n for _ in range(n)]
+    for row in perms:
+        for v in range(n):
+            p[int(row[v])][v] += 1.0
+    return [[x / len(perms) for x in line] for line in p]
+
+
+def is_free(perms):
+    """True iff no row of ``perms`` other than the identity fixes a point."""
+    identity = list(range(len(perms[0])))
+    return not any(
+        row[v] == v for row in perms if list(row) != identity for v in range(len(row))
+    )

@@ -157,6 +157,48 @@ def test_sunada_computes_one_character_table(capsys, monkeypatch):
     assert reports["7"] == reports["0"]
 
 
+# each subcommand declares only the common flags it reads
+_REMOVED_FLAGS = {
+    "group-info": ["--tol", "--cluster-tol", "--nmax", "--budget"],
+    "gassmann": ["--tol", "--cluster-tol", "--nmax"],
+    "sunada": ["--nmax", "--budget"],
+    "heat": ["--cluster-tol", "--budget", "--max-order", "--seed"],
+}
+_BASE_ARGV = {
+    "group-info": ["group-info", S3],
+    "gassmann": ["gassmann", S3, "--search", "2"],
+    "sunada": ["sunada", AFF8, AFF8_H1, AFF8_H2],
+    "heat": ["heat", "--model", "circle:1"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, flags in _REMOVED_FLAGS.items() for flag in flags],
+)
+def test_unread_common_flag_is_rejected(capsys, command, flag):
+    with pytest.raises(SystemExit) as info:
+        main(_BASE_ARGV[command] + [flag, "1"])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_gassmann_search_uses_seeded_table_once(capsys, monkeypatch):
+    seeds, builds = [], []
+    table, build = chartab.character_table, chartab.structure_constants
+    monkeypatch.setattr(
+        chartab, "character_table", lambda G, seed=0: seeds.append(seed) or table(G, seed=seed)
+    )
+    monkeypatch.setattr(
+        chartab, "structure_constants", lambda G: builds.append(G) or build(G)
+    )
+    code, report = run_cli(["gassmann", AFF8, "--search", "4", "--seed", "7"], capsys)
+    assert code == 0
+    assert report["num_pairs"] > 1
+    assert seeds == [7]
+    assert len(builds) == 1
+
+
 def test_sunada_same_subgroup(capsys):
     code, report = run_cli(["sunada", AFF8, AFF8_H1, AFF8_H1], capsys)
     assert code == 0

@@ -6,6 +6,7 @@ import oracles
 import sunadalab as sl
 from sunadalab import gassmann as gs
 from sunadalab.errors import BudgetExceededError, PreconditionError
+from sunadalab.permgrp import conjugate_by_all
 
 
 def test_class_counts_sum_to_order(s4):
@@ -132,6 +133,41 @@ def test_search_orbit_dedup(aff8):
                 hit = True
                 break
         assert hit
+
+
+def _orbit_key(columns, H1, H2):
+    # least sorted pair of conjugate element tuples over all g in G
+    return min(tuple(sorted(pair)) for pair in zip(columns[H1], columns[H2]))
+
+
+@pytest.mark.parametrize("name, m", [("psl211", 60), ("psl32", 24), ("aff8", 4)])
+def test_orbit_dedup_one_gather_per_subgroup(groups, monkeypatch, name, m):
+    if name == "psl211":
+        G = sl.load_bundled_group("psl211")
+    elif name == "psl32":
+        G = sl.generate_group(
+            7, [sl.parse_cycles("(0 1 2 3 4 5 6)", 7), sl.parse_cycles("(2 4)(5 6)", 7)]
+        )
+    else:
+        G = groups[name]
+    full = gs.gassmann_search(G, m)
+    distinct = {H.elements: H for pair in full for H in pair}
+    columns = {
+        e: list(map(tuple, conjugate_by_all(G, H).T.tolist())) for e, H in distinct.items()
+    }
+    # the first pair of each orbit of sorted conjugate-tuple pairs
+    expected, seen = [], set()
+    for H1, H2 in full:
+        key = _orbit_key(columns, H1.elements, H2.elements)
+        if key not in seen:
+            seen.add(key)
+            expected.append((H1.elements, H2.elements))
+    gathers = []
+    gather = gs.conjugate_by_all
+    monkeypatch.setattr(gs, "conjugate_by_all", lambda G, H: gathers.append(H) or gather(G, H))
+    kept = gs.gassmann_search(G, m, dedup_conjugate_orbits=True)
+    assert [(a.elements, b.elements) for a, b in kept] == expected
+    assert len(gathers) <= len(distinct)
 
 
 def test_search_budget(aff8):

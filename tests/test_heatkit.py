@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sunadalab import _kernels
@@ -279,6 +279,40 @@ def test_spectra_close_variants():
     assert hk.spectra_close(a, b)  # common initial segment
     assert not hk.spectra_close([(0.0, 1)], [(0.0, 2)])  # count mismatch
     assert hk.spectra_close([(0.0, 1), (1.0, 2)], [(0.0, 1), (1.0, 1), (1.0, 1)])
+    with pytest.raises(PreconditionError):
+        hk.spectra_close([(0.0, -1)], [(0.0, 1)])
+
+
+_VALUES = (0.0, 1.0, 1.0 + 1e-12, 4.0, 9.0)
+_finite = st.lists(
+    st.tuples(st.sampled_from(_VALUES), st.integers(0, 3)), max_size=6
+)
+# the circle of circumference 2 pi has eigenvalues n^2, double for n >= 1
+_flat = st.integers(0, 3).map(lambda nmax: hk.circle_spectrum(2 * np.pi, nmax))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(_finite, _flat),
+    st.one_of(_finite, _flat),
+    st.sampled_from([0.0, 1e-9, 2.0]),
+)
+@example([], [], 0.0)
+@example([], [(0.0, 0)], 0.0)
+@example([(0.0, 1)], [(0.0, 1), (1.0, 1)], 1e-9)  # unequal totals
+# the runs differ only at a run start of one side
+@example([(1.0, 2)], [(1.0, 1), (4.0, 1)], 1e-9)
+@example([(1.0, 1), (4.0, 1)], [(1.0, 2)], 1e-9)
+@example(hk.circle_spectrum(2 * np.pi, 1), [(0.0, 1), (1.0, 2), (4.0, 5)], 1e-9)
+@example(hk.circle_spectrum(2 * np.pi, 0), [], 0.0)
+def test_spectra_close_matches_expanded_oracle(spec_a, spec_b, tol):
+    def pairs(spec):
+        if isinstance(spec, hk.FlatModelSpectrum):
+            return spec.pairs(), False
+        return spec, True
+
+    expected = oracles.spectra_close(*pairs(spec_a), *pairs(spec_b), tol)
+    assert hk.spectra_close(spec_a, spec_b, tol) is expected
 
 
 def test_audibility_consistent_flat_pair():

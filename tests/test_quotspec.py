@@ -167,6 +167,27 @@ def test_vertex_orbits_match_oracle(groups, name):
         assert qs.vertex_orbits(space) == oracles.vertex_orbits(whole, space.n)
 
 
+@pytest.mark.parametrize("name", ["s3", "s4", "d4", "aff8"])
+def test_subgroup_actions_match_oracles(groups, name):
+    G = groups[name]
+    subs = sl.all_subgroups(G)
+    spaces = [qs.cayley_graph(G), qs.coset_gspace(G, [subs[0], subs[len(subs) // 2]])]
+    for space in spaces:
+        for H in subs:
+            perms = space.vertex_perms[H.indices()].tolist()
+            expected = np.asarray(oracles.averaging_projector(perms, space.n))
+            assert np.array_equal(qs.averaging_projector(space, H), expected)
+            free = oracles.is_free(perms)
+            assert qs.is_free(space, H) is free
+            if not free:
+                continue
+            assert qs.cover_degree(space, H) == H.order
+            if space.graph.connected:
+                for v in {0, space.n - 1}:
+                    cells = qs.fundamental_domain(space, H, base_vertex=v)
+                    assert cells.centers == tuple(sorted(row[v] for row in perms))
+
+
 # --- quotients ---------------------------------------------------------------
 
 @pytest.fixture
@@ -320,6 +341,37 @@ def test_equivariant_isospectral_detects_scaling(z6):
     rep = qs.equivariantly_isospectral(a, b)
     assert not rep
     assert "eigenvalue" in rep.reason
+
+
+def _d4_cayley(d4, rotation_weight, reflection_weight):
+    r = d4.index_of(sl.parse_cycles("(0 1 2 3)", 4))
+    s = d4.index_of(sl.parse_cycles("(1 3)", 4))
+    return qs.cayley_graph(d4, [r, s], {r: rotation_weight, s: reflection_weight})
+
+
+# On the D4 Cayley graph with rotation weight a and reflection weight b,
+# the three non-trivial linear characters have eigenvalues 2b, 4a and
+# 4a + 2b, and the two-dimensional irrep has 2a and 2a + 2b.
+@pytest.mark.parametrize(
+    "weights_1, weights_2, tol, expected",
+    [
+        ((1, 1), (1, 3), 1e-9, lambda c1, c2: "cluster counts differ: 4 vs 6"),
+        (
+            (1, 1.5), (1, 1.6), 1e-9,
+            lambda c1, c2: f"cluster 2: eigenvalues {c1[2][0]} and {c2[2][0]} "
+            "differ by more than 1e-09",
+        ),
+        ((1, 3), (1, 0.5), 100.0, lambda c1, c2: "cluster 1: multiplicities 2 and 1 differ"),
+        # cluster 2 is 2b in the first space and 4a in the second
+        ((1, 1.5), (1, 3), 100.0, lambda c1, c2: "cluster 2: isotypic decompositions differ"),
+    ],
+)
+def test_equivariant_isospectral_reasons(d4, weights_1, weights_2, tol, expected):
+    rep = qs.equivariantly_isospectral(
+        _d4_cayley(d4, *weights_1), _d4_cayley(d4, *weights_2), tol=tol
+    )
+    assert not rep
+    assert rep.reason == expected(rep.clusters_1, rep.clusters_2)
 
 
 # --- the identity and the support law ------------------------------------------
