@@ -19,25 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigenDecompositionError, NonIntegralError
-from .permgrp import ConjugacyClassPartition, PermutationGroup, Subgroup, conjugacy_classes, coset_space
+from .permgrp import ConjugacyClassPartition, PermutationGroup, conjugacy_classes, coset_space
 
 ORTHOGONALITY_TOL = 1e-9
 INTEGRALITY_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class ClassFunction:
-    """A complex-valued function on conjugacy classes, one value per class."""
-
-    partition: ConjugacyClassPartition
-    values: np.ndarray
-
-    def integer_values(self, tol=INTEGRALITY_TOL):
-        vals = np.asarray(self.values)
-        ints = np.round(vals.real).astype(int)
-        if np.max(np.abs(vals - ints)) > tol:
-            raise NonIntegralError(f"class function is not integral: {vals}")
-        return tuple(int(v) for v in ints)
 
 
 @dataclass(frozen=True)
@@ -56,26 +41,6 @@ class CharacterTable:
     @property
     def num_irreps(self):
         return self.table.shape[0]
-
-    def row(self, r):
-        return ClassFunction(partition=self.partition, values=self.table[r])
-
-
-@dataclass(frozen=True)
-class IrrepSubset:
-    """A subset of the rows of a character table."""
-
-    table: CharacterTable
-    rows: tuple
-
-    def __contains__(self, r):
-        return r in self.rows
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self):
-        return len(self.rows)
 
 
 def structure_constants(G):
@@ -172,67 +137,56 @@ def inner_product(partition, values_a, values_b):
 
 
 def multiplicities(ct, values, tol=INTEGRALITY_TOL):
-    """Multiplicity of every irreducible row inside the character ``values``.
+    """Multiplicity of every irreducible row inside the class function
+    ``values``, or inside each row of a stack of class functions.
 
-    All rows are paired at once, as in ``inner_product``.  Each pairing
-    must be a non-negative integer within ``tol``; the error names the
-    first row that is not.
+    Each entry is the pairing of ``inner_product`` with one irreducible.
+    It must be a non-negative integer within ``tol``; the error names the
+    first (character, irrep) that is not.  One class function gives a
+    tuple of ints, a stack an integer array with a row per character.
     """
-    if isinstance(values, ClassFunction):
-        values = values.values
-    sizes = np.asarray(ct.partition.class_sizes, dtype=np.float64)
     a = np.asarray(values, dtype=np.complex128)
-    m = np.sum((sizes * a)[None, :] * np.conj(ct.table), axis=1) / ct.group.order
-    m_int = np.round(m.real).astype(int)
-    bad = np.flatnonzero((m_int < 0) | (np.abs(m - m_int) > tol))
+    sizes = np.asarray(ct.partition.class_sizes, dtype=np.float64)
+    m = (np.atleast_2d(a) * sizes) @ ct.table.conj().T / ct.group.order
+    m_int = np.round(m.real).astype(np.int64)
+    bad = np.argwhere((m_int < 0) | (np.abs(m - m_int) > tol))
     if bad.size:
-        row = int(bad[0])
+        char, row = (int(i) for i in bad[0])
         raise NonIntegralError(
-            f"multiplicity of irrep {row} is {complex(m[row])}, not a non-negative integer"
+            f"character {char} pairs with irrep {row} at {complex(m[char, row])}, "
+            "not a non-negative integer"
         )
-    return tuple(int(v) for v in m_int)
-
-
-def multiplicity(ct, values, row, tol=INTEGRALITY_TOL):
-    """Multiplicity of irreducible row ``row`` inside the character ``values``,
-    read from ``multiplicities``, which checks every row."""
-    return multiplicities(ct, values, tol)[row]
+    return tuple(m_int[0].tolist()) if a.ndim == 1 else m_int
 
 
 def permutation_character(G, H):
-    """Character of the left-translation action of G on the cosets G/H."""
+    """Character of the left-translation action of G on the cosets G/H:
+    the number of cosets each class representative fixes."""
     cs = coset_space(G, H)
-    cc = conjugacy_classes(G)
-    ids = np.arange(cs.num_cosets)
-    values = np.array(
-        [np.count_nonzero(cs.action[rep] == ids) for rep in cc.representatives],
-        dtype=np.complex128,
-    )
-    return ClassFunction(partition=cc, values=values)
+    reps = list(conjugacy_classes(G).representatives)
+    fixed = cs.action[reps] == np.arange(cs.num_cosets)
+    return tuple(fixed.sum(axis=1).tolist())
 
 
-def trivial_multiplicity_on_restriction(ct, row, K, tol=INTEGRALITY_TOL):
+def _fixed_vector_counts(ct, K):
+    """Dimension of the K-fixed vectors in every irreducible row,
+    (1/|K|) sum_{k in K} chi(k).  With c_t elements of K in class t of
+    size n_t, this is the pairing of chi with |G| c_t / (|K| n_t)."""
+    cc = ct.partition
+    hits = np.bincount(np.asarray(cc.class_of)[K.indices()], minlength=cc.num_classes)
+    sizes = np.asarray(cc.class_sizes, dtype=np.float64)
+    return multiplicities(ct, hits * (ct.group.order / K.order) / sizes)
+
+
+def trivial_multiplicity_on_restriction(ct, row, K):
     """Number of K-fixed vectors in irreducible row ``row``, i.e. the
     multiplicity of the trivial character in its restriction to K."""
-    cls = ct.partition.class_of
-    vals = ct.table[row, np.asarray(cls)[K.indices()]]
-    m = complex(np.sum(vals) / K.order)
-    m_int = int(round(m.real))
-    if m_int < 0 or abs(m - m_int) > tol:
-        raise NonIntegralError(
-            f"restriction multiplicity of irrep {row} over subgroup is {m}"
-        )
-    return m_int
+    return _fixed_vector_counts(ct, K)[row]
 
 
 def irreps_with_fixed_vectors(ct, K):
     """Rows whose restriction to K contains the trivial character."""
-    rows = tuple(
-        r
-        for r in range(ct.num_irreps)
-        if trivial_multiplicity_on_restriction(ct, r, K) > 0
-    )
-    return IrrepSubset(table=ct, rows=rows)
+    return tuple(np.flatnonzero(_fixed_vector_counts(ct, K)).tolist())
 
 
 def format_complex(z, digits=12):

@@ -129,7 +129,7 @@ def triple_report(G, H1, H2, ct=None):
         class_counts_h2=c2,
         almost_conjugate=ac,
         conjugate=are_conjugate_subgroups(G, H1, H2),
-        perm_char=pc.integer_values(),
+        perm_char=pc,
     )
 
 

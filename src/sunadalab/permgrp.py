@@ -181,11 +181,8 @@ class PermutationGroup:
     @property
     def inverses(self):
         if self._inv is None:
-            inv = np.empty(self.order, dtype=np.int64)
-            for i in range(self.order):
-                perm = self.elements[i].inverse()
-                inv[i] = self.index_of(perm)
-            self._inv = inv
+            # row i of the table holds the identity 0 exactly at column inv(i)
+            self._inv = np.argmin(self.table, axis=1)
         return self._inv
 
     def index_of(self, perm):

@@ -24,6 +24,7 @@ from .chartab import (
     CharacterTable,
     character_table,
     irreps_with_fixed_vectors,
+    multiplicities,
 )
 from .errors import (
     DisconnectedGraphError,
@@ -76,23 +77,8 @@ def weighted_graph(weights):
     if np.any(np.diagonal(w) != 0):
         raise PreconditionError("diagonal weights (self-loops) are not allowed")
     n = w.shape[0]
-    return WeightedGraph(n=n, weights=w, connected=_is_connected(w))
-
-
-def _is_connected(w):
-    n = w.shape[0]
-    if n == 0:
-        return True
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in np.nonzero(w[u])[0]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return bool(seen.all())
+    connected = n == 0 or bool(np.all(_hop_distances(w, 0) >= 0))
+    return WeightedGraph(n=n, weights=w, connected=connected)
 
 
 def laplacian(graph):
@@ -126,7 +112,7 @@ class GSpace:
     @cached_property
     def _isotypic_cache(self):
         """(character table, decomposition, counts) per key (id of the
-        character table, cluster_tol, tol), filled by
+        character table, cluster_tol), filled by
         isotypic_multiplicities.  The IsotypicTable itself is not kept,
         because it refers back to the space."""
         return {}
@@ -465,63 +451,60 @@ class IsotypicTable:
 
 
 def _eigenspaces(space, cluster_tol):
-    """Clustered Laplacian spectrum and the eigenvector block V_c of each
-    cluster, both from the G-space's one eigendecomposition."""
-    values, vectors = space.laplacian_eigh
-    decomp = cluster_eigenvalues(values, cluster_tol)
-    mults = decomp.multiplicities()
-    blocks = [vectors[:, end - m : end] for end, m in zip(np.cumsum(mults), mults)]
-    return decomp, blocks
+    """Clustered Laplacian spectrum and the first eigenvector column of
+    each cluster, both from the G-space's one eigendecomposition.  A
+    per-eigenvector quantity x sums to its per-eigenspace value with
+    ``np.add.reduceat(x, starts)``."""
+    decomp = cluster_eigenvalues(space.laplacian_eigh[0], cluster_tol)
+    mults = np.asarray(decomp.multiplicities(), dtype=np.intp)
+    return decomp, np.cumsum(mults) - mults
 
 
-def isotypic_multiplicities(space, ct=None, cluster_tol=None, tol=MULT_TOL):
+def isotypic_multiplicities(space, ct=None, cluster_tol=None):
     """Decompose each eigenspace of the Laplacian into irreducibles.
 
     Multiplicities are computed from the traces of one representative per
     conjugacy class on each eigenspace and must come out as non-negative
-    integers; each cluster's dimension must equal the degree-weighted sum
-    of its multiplicities.  The counts are computed once per G-space,
-    character table, ``cluster_tol`` and ``tol``, and shared by every
-    later call.
+    integers within ``MULT_TOL``; each cluster's dimension must equal the
+    degree-weighted sum of its multiplicities.  The counts are computed
+    once per G-space, character table and ``cluster_tol``, and shared by
+    every later call.
     """
     if ct is None:
         ct = character_table(space.group)
     # the entry holds ct, so its id is not reused while the entry exists
-    key = (id(ct), cluster_tol, tol)
+    key = (id(ct), cluster_tol)
     if key not in space._isotypic_cache:
-        space._isotypic_cache[key] = (ct, *_isotypic_counts(space, ct, cluster_tol, tol))
+        space._isotypic_cache[key] = (ct, *_isotypic_counts(space, ct, cluster_tol))
     _, decomp, counts = space._isotypic_cache[key]
     return IsotypicTable(
         space=space, chartable=ct, decomposition=decomp, counts=counts
     )
 
 
-def _isotypic_counts(space, ct, cluster_tol, tol):
+def _isotypic_counts(space, ct, cluster_tol):
     """Clustered spectrum and the read-only (cluster, irrep) count matrix."""
-    decomp, blocks = _eigenspaces(space, cluster_tol)
-    sizes = np.asarray(ct.partition.class_sizes, dtype=np.float64)
-    order = space.group.order
-    rep_perms = space.vertex_perms[list(conjugacy_classes(space.group).representatives)]
-    counts = np.zeros((len(blocks), ct.num_irreps), dtype=np.int64)
-    for c, block in enumerate(blocks):
-        # trace of g on span(V_c) = sum_v <V_c[g v], V_c[v]>; the eigenspace
-        # is invariant, so this is a class function
-        traces = np.einsum("gvi,vi->g", block[rep_perms], block)
-        for r in range(ct.num_irreps):
-            m = np.sum(sizes * np.conj(ct.table[r]) * traces) / order
-            m_int = int(round(m.real))
-            if m_int < 0 or abs(m - m_int) > tol:
-                raise NonIntegralError(
-                    f"cluster {c} pairs with irrep {r} at non-integer "
-                    f"multiplicity {m}"
-                )
-            counts[c, r] = m_int
-        dim = sum(counts[c, r] * ct.degrees[r] for r in range(ct.num_irreps))
-        if dim != decomp.clusters[c][1]:
-            raise NumericalError(
-                f"cluster {c}: isotypic dimensions sum to {dim}, expected "
-                f"{decomp.clusters[c][1]}; clusters may be split too finely"
-            )
+    decomp, starts = _eigenspaces(space, cluster_tol)
+    vectors = space.laplacian_eigh[1]
+    # <V[g v], V[v]> for each eigenvector; summed over a cluster it is the
+    # trace of g on the eigenspace, which is invariant, so a class function
+    diagonals = np.stack(
+        [
+            np.einsum("vi,vi->i", vectors[space.vertex_perms[g]], vectors)
+            for g in conjugacy_classes(space.group).representatives
+        ],
+        axis=1,
+    )
+    counts = multiplicities(ct, np.add.reduceat(diagonals, starts, axis=0), MULT_TOL)
+    dims = counts @ np.asarray(ct.degrees)
+    mults = decomp.multiplicities()
+    bad = np.flatnonzero(dims != mults)
+    if bad.size:
+        c = int(bad[0])
+        raise NumericalError(
+            f"cluster {c}: isotypic dimensions sum to {dims[c]}, expected "
+            f"{mults[c]}; clusters may be split too finely"
+        )
     counts.flags.writeable = False
     return decomp, counts
 
@@ -589,7 +572,7 @@ class SunadaIdentityReport:
         return self.holds
 
 
-def sunada_identity_check(space, H, K=None, ct=None, cluster_tol=None, tol=MULT_TOL):
+def sunada_identity_check(space, H, K=None, ct=None, cluster_tol=None):
     """For each eigenvalue, compare the dimension of H-invariant
     eigenfunctions with the multiplicity sum over the irreducibles having
     a K-fixed vector, weighted by their multiplicity in the coset
@@ -605,36 +588,36 @@ def sunada_identity_check(space, H, K=None, ct=None, cluster_tol=None, tol=MULT_
         K = subgroup_generate(G, [])
     if ct is None:
         ct = character_table(G)
-    table = isotypic_multiplicities(space, ct=ct, cluster_tol=cluster_tol, tol=tol)
-    k_rows = tuple(irreps_with_fixed_vectors(ct, K))
-    supported = table.supported_rows()
-    outside = [r for r in supported if r not in k_rows]
-    if outside:
+    table = isotypic_multiplicities(space, ct=ct, cluster_tol=cluster_tol)
+    k_rows = irreps_with_fixed_vectors(ct, K)
+    rows = np.asarray(k_rows, dtype=np.intp)
+    outside = table.counts.any(axis=0)
+    outside[rows] = False
+    if outside.any():
         raise PreconditionError(
-            f"irrep {outside[0]} appears in the spectrum but has no fixed "
-            "vector under the chosen K; the identity does not apply"
+            f"irrep {int(np.argmax(outside))} appears in the spectrum but has no "
+            "fixed vector under the chosen K; the identity does not apply"
         )
-    ind = induced_multiplicities(G, H, ct)
-    basis = _orbit_basis(space, H)
-    decomp, blocks = _eigenspaces(space, table.decomposition.cluster_tol)
-    lhs, rhs = [], []
-    for c, block in enumerate(blocks):
-        # dim of the H-invariant part of E_c = trace(P_H P_c) = |B^T V_c|_F^2
-        raw = float(np.sum((basis.T @ block) ** 2))
-        val = int(round(raw))
-        if val < 0 or abs(raw - val) > tol:
-            raise NonIntegralError(
-                f"cluster {c}: invariant dimension {raw} is not an integer"
-            )
-        lhs.append(val)
-        rhs.append(int(sum(table.counts[c, r] * ind[r] for r in k_rows)))
-    holds = lhs == rhs
+    ind = np.asarray(induced_multiplicities(G, H, ct))
+    decomp, starts = _eigenspaces(space, table.decomposition.cluster_tol)
+    # dim of the H-invariant part of E_c = trace(P_H P_c), the sum of
+    # |B^T v|^2 over the eigenvectors v of the cluster
+    coords = _orbit_basis(space, H).T @ space.laplacian_eigh[1]
+    raw = np.add.reduceat(np.sum(coords**2, axis=0), starts)
+    lhs = np.round(raw).astype(np.int64)
+    bad = np.flatnonzero(np.abs(raw - lhs) > MULT_TOL)
+    if bad.size:
+        c = int(bad[0])
+        raise NonIntegralError(
+            f"cluster {c}: invariant dimension {raw[c]} is not an integer"
+        )
+    rhs = table.counts[:, rows] @ ind[rows]
     return SunadaIdentityReport(
         eigenvalues=decomp.cluster_values(),
-        invariant_dims=tuple(lhs),
-        induced_sums=tuple(rhs),
+        invariant_dims=tuple(lhs.tolist()),
+        induced_sums=tuple(rhs.tolist()),
         k_rows=k_rows,
-        holds=holds,
+        holds=bool(np.array_equal(lhs, rhs)),
     )
 
 
@@ -712,14 +695,15 @@ class DirichletCells:
     boundary: tuple
 
 
-def _hop_distances(graph, source):
-    n = graph.n
-    dist = np.full(n, -1, dtype=np.int64)
+def _hop_distances(weights, source):
+    """Breadth-first hop distance from ``source`` along positive weights;
+    -1 marks the vertices it cannot reach."""
+    dist = np.full(weights.shape[0], -1, dtype=np.int64)
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for v in np.nonzero(graph.weights[u])[0]:
+        for v in np.nonzero(weights[u])[0]:
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
                 queue.append(int(v))
@@ -742,7 +726,7 @@ def fundamental_domain(space, H=None, base_vertex=0):
         raise NonFreeActionError("Dirichlet cells need a free action")
     # the action is free, so the centers h v are the orbit of v
     centers = np.flatnonzero(label == label[base_vertex]).tolist()
-    dists = np.stack([_hop_distances(space.graph, c) for c in centers])
+    dists = np.stack([_hop_distances(space.graph.weights, c) for c in centers])
     best = dists.min(axis=0)
     winners = dists == best[None, :]
     counts = winners.sum(axis=0)

@@ -237,3 +237,37 @@ def is_free(perms):
     return not any(
         row[v] == v for row in perms if list(row) != identity for v in range(len(row))
     )
+
+
+def isotypic_counts(vectors, cluster_sizes, rep_perms, class_sizes, table, order, tol=1e-6):
+    """Multiplicity of each irreducible in each eigenspace, one cluster
+    and one irreducible at a time.  ``vectors`` holds orthonormal
+    eigenvectors as columns (nested lists, row v for vertex v), and the
+    clusters take ``cluster_sizes`` consecutive columns each;
+    ``rep_perms`` is the vertex permutation of one representative per
+    conjugacy class, ``table`` the character rows (one value per class).
+    The trace of g on a cluster is sum_i sum_v V[g v][i] V[v][i] over its
+    columns i, and the multiplicity of chi is
+    (1/|G|) sum_t n_t trace_t conj(chi_t), which must be a non-negative
+    integer.  Returns nested lists."""
+    counts = []
+    start = 0
+    for size in cluster_sizes:
+        cols = range(start, start + size)
+        traces = [
+            sum(vectors[p[v]][i] * vectors[v][i] for i in cols for v in range(len(p)))
+            for p in rep_perms
+        ]
+        row = []
+        for chi in table:
+            m = sum(
+                n * t * complex(c).conjugate()
+                for n, t, c in zip(class_sizes, traces, chi)
+            ) / order
+            k = round(m.real)
+            if k < 0 or abs(m - k) > tol:
+                raise ValueError(f"cluster at column {start} pairs with a character at {m}")
+            row.append(k)
+        counts.append(row)
+        start += size
+    return counts

@@ -1,4 +1,5 @@
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,45 +72,49 @@ def test_aff8_degrees(aff8):
     assert ct.degrees == (1,) * 8 + (2, 2, 4)
 
 
+def _integer_rows(ct):
+    """The table as tuples of ints; only for integer-valued tables."""
+    rows = np.round(ct.table.real).astype(int)
+    assert np.max(np.abs(ct.table - rows)) < 1e-9
+    return [tuple(r.tolist()) for r in rows]
+
+
 def test_permutation_character_s3(s3):
     H = sl.subgroup_generate(s3, [s3.index_of(sl.parse_cycles("(0 1)", 3))])
     pc = ch.permutation_character(s3, H)
-    assert pc.integer_values() == (3, 1, 0)
+    assert pc == (3, 1, 0)
+    assert all(type(v) is int for v in pc)
 
 
 def test_regular_character(q8):
     triv = sl.subgroup_generate(q8, [])
-    pc = ch.permutation_character(q8, triv)
-    vals = pc.integer_values()
+    vals = ch.permutation_character(q8, triv)
     assert vals[0] == q8.order and all(v == 0 for v in vals[1:])
     ct = ch.character_table(q8)
     # every irrep appears with multiplicity equal to its degree
-    for r in range(ct.num_irreps):
-        assert ch.multiplicity(ct, pc, r) == ct.degrees[r]
+    assert ch.multiplicities(ct, vals) == ct.degrees
 
 
 def test_multiplicity_rejects_non_integral(s3):
     ct = ch.character_table(s3)
     junk = np.array([1.0, 0.5, 0.25])
     with pytest.raises(NonIntegralError):
-        ch.multiplicity(ct, junk, 0)
+        ch.multiplicities(ct, junk)
 
 
 def test_multiplicity_exact_inner_product(s4):
     # the float pairing must agree with exact rational arithmetic on
     # integer class functions; every character of S4 is integer valued
     ct = ch.character_table(s4)
-    rows = [ct.row(r).integer_values() for r in range(ct.num_irreps)]
+    rows = _integer_rows(ct)
     for H in sl.all_subgroups(s4):
-        pc = ch.permutation_character(s4, H)
-        vals = pc.integer_values()
+        vals = ch.permutation_character(s4, H)
         exact = [
             oracles.exact_inner_product(vals, row, ct.partition.class_sizes, s4.order)
             for row in rows
         ]
         assert all(m.denominator == 1 for m in exact)
-        assert ch.multiplicities(ct, pc) == tuple(int(m) for m in exact)
-        assert ch.multiplicity(ct, pc, 0) == int(exact[0])
+        assert ch.multiplicities(ct, vals) == tuple(int(m) for m in exact)
 
 
 def test_multiplicities_name_first_bad_row(s3):
@@ -122,6 +127,54 @@ def test_multiplicities_name_first_bad_row(s3):
     negative = ct.table[0] - ct.table[2]
     with pytest.raises(NonIntegralError, match="irrep 2 "):
         ch.multiplicities(ct, negative)
+
+
+def test_stacked_multiplicities_match_rows(groups):
+    for name, G in groups.items():
+        ct = ch.character_table(G)
+        chars = [ch.permutation_character(G, H) for H in sl.all_subgroups(G)]
+        stacked = ch.multiplicities(ct, np.array(chars))
+        assert stacked.dtype.kind == "i", name
+        assert stacked.shape == (len(chars), ct.num_irreps), name
+        assert [tuple(row) for row in stacked.tolist()] == [
+            ch.multiplicities(ct, c) for c in chars
+        ], name
+
+
+def test_table_rows_pair_to_identity(groups):
+    # a stack of complex characters: the pairing must conjugate the rows
+    for name, G in groups.items():
+        ct = ch.character_table(G)
+        assert np.array_equal(ch.multiplicities(ct, ct.table), np.eye(ct.num_irreps)), name
+
+
+def test_stacked_multiplicities_name_character_and_irrep(s3):
+    ct = ch.character_table(s3)
+    good = ch.permutation_character(s3, sl.subgroup_generate(s3, []))
+    half = 0.5 * (ct.table[1] + ct.table[2])
+    with pytest.raises(NonIntegralError, match="character 2 pairs with irrep 1 ") as err:
+        ch.multiplicities(ct, np.array([good, good, half, half]))
+    assert "character 3" not in str(err.value)
+    assert "irrep 2" not in str(err.value)
+
+
+def test_fixed_vector_counts_exact(s4, d4):
+    # (1/|K|) sum_{k in K} chi(k) in exact arithmetic, for every row and
+    # every subgroup K; both tables are integer valued
+    for G in (s4, d4):
+        ct = ch.character_table(G)
+        rows = _integer_rows(ct)
+        class_of = ct.partition.class_of
+        for K in sl.all_subgroups(G):
+            exact = [
+                Fraction(sum(row[class_of[k]] for k in K.elements), K.order)
+                for row in rows
+            ]
+            assert all(m.denominator == 1 for m in exact)
+            assert ch._fixed_vector_counts(ct, K) == tuple(int(m) for m in exact)
+            assert ch.irreps_with_fixed_vectors(ct, K) == tuple(
+                r for r, m in enumerate(exact) if m > 0
+            )
 
 
 def test_fixed_vector_rows_monotone(d4):
@@ -142,14 +195,14 @@ def test_trivial_restriction_counts(s3):
     assert ch.trivial_multiplicity_on_restriction(ct, 0, A3) == 1
     assert ch.trivial_multiplicity_on_restriction(ct, 1, A3) == 1
     assert ch.trivial_multiplicity_on_restriction(ct, 2, A3) == 0
-    assert ch.irreps_with_fixed_vectors(ct, A3).rows == (0, 1)
+    assert ch.irreps_with_fixed_vectors(ct, A3) == (0, 1)
 
 
 def test_whole_group_sees_only_trivial(groups):
     for G in groups.values():
         ct = ch.character_table(G)
         whole = sl.subgroup_from_indices(G, range(G.order))
-        assert ch.irreps_with_fixed_vectors(ct, whole).rows == (0,)
+        assert ch.irreps_with_fixed_vectors(ct, whole) == (0,)
 
 
 def test_csv_export_format(s3):

@@ -107,6 +107,13 @@ def test_inverses(q8):
         assert q8.mul(i, q8.inv(i)) == 0
 
 
+@pytest.mark.parametrize("name", ["s3", "s4", "z4", "z6", "z8", "d4", "q8", "aff8", "psl211"])
+def test_inverses_match_oracle(name):
+    G = sl.load_bundled_group(name)
+    expect = [G.index_of(Permutation(oracles.inverse(g.images))) for g in G.elements]
+    assert G.inverses.tolist() == expect
+
+
 # --- conjugacy classes -------------------------------------------------------
 
 def test_s3_class_sizes(s3):

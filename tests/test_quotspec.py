@@ -317,6 +317,43 @@ def test_coset_action_isotypic_totals(s4):
         assert tuple(table.counts.sum(axis=0)) == induced_multiplicities(s4, H, ct)
 
 
+def _oracle_counts(space, ct):
+    values, vectors = space.laplacian_eigh
+    reps = sl.conjugacy_classes(space.group).representatives
+    return oracles.isotypic_counts(
+        vectors.tolist(),
+        qs.cluster_eigenvalues(values).multiplicities(),
+        [space.vertex_perms[g].tolist() for g in reps],
+        ct.partition.class_sizes,
+        ct.table.tolist(),
+        space.group.order,
+    )
+
+
+@pytest.mark.parametrize("name", ["s3", "s4", "z4", "z6", "z8", "d4", "q8", "aff8"])
+def test_isotypic_counts_match_oracle(groups, name):
+    G = groups[name]
+    ct = sl.character_table(G)
+    subs = sl.all_subgroups(G)
+    for space in (
+        qs.cayley_graph(G),
+        qs.coset_gspace(G, [subs[len(subs) // 2], subs[-2]], weight_seed=5),
+    ):
+        counts = qs.isotypic_multiplicities(space, ct=ct).counts
+        assert np.array_equal(counts, _oracle_counts(space, ct))
+
+
+def test_empty_gspace(z4):
+    # no vertices: no eigenspaces, and the identity holds vacuously
+    space = qs.gspace(z4, qs.weighted_graph(np.zeros((0, 0))), np.zeros((4, 0), dtype=np.int64))
+    table = qs.isotypic_multiplicities(space)
+    assert table.counts.shape == (0, 4)
+    rep = qs.sunada_identity_check(space, sl.subgroup_generate(z4, []))
+    assert rep.holds
+    assert rep.eigenvalues == rep.invariant_dims == rep.induced_sums == ()
+    assert rep.k_rows == (0, 1, 2, 3)
+
+
 def test_cluster_dimension_identity(d4):
     space = qs.cayley_graph(d4)
     table = qs.isotypic_multiplicities(space)
