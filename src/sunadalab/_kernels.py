@@ -17,23 +17,17 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def _row_index_map(elems):
-    """dict mapping each image row (as bytes) to its row index."""
-    e = np.ascontiguousarray(elems, dtype=np.int32)
-    return {e[i].tobytes(): i for i in range(e.shape[0])}
-
-
-def mul_table(elems, gens):
+def mul_table(elems, gens, lookup):
     """Composition table for a closed, sorted element matrix.
 
     ``gens`` are the indices of elements that generate the group.  Only
     their rows are looked up; the rest follow by a breadth-first search
     from the identity, because left multiplication by s ∘ x is left
     multiplication by x followed by s: ``table[s∘x] = table[s][table[x]]``.
+    ``lookup`` maps each int32 image row, as bytes, to its index.
     """
     e = np.ascontiguousarray(elems, dtype=np.int32)
     n = e.shape[0]
-    lookup = _row_index_map(e)
     # gen_rows[k][b] = index of elems[gens[k]] ∘ elems[b]
     gen_rows = [
         np.array([lookup[row.tobytes()] for row in e[s][e]], dtype=np.int32)

@@ -44,18 +44,20 @@ class CharacterTable:
 
 
 def structure_constants(G):
-    """Class-algebra structure constants a[i, j, t] with C_i C_j = sum a C_t."""
+    """Class-algebra structure constants a[i, j, t] with C_i C_j = sum a C_t.
+
+    a[i, j, t] counts the x in C_i with x^{-1} z in C_j, for any one z in
+    C_t; the class representative stands for z, so column t is one
+    ``bincount`` over G.
+    """
     cc = conjugacy_classes(G)
     cls = np.asarray(cc.class_of, dtype=np.int64)
     k = cc.num_classes
-    n = G.order
-    counts = np.zeros((k, k, k), dtype=np.float64)
-    rows = np.repeat(cls, n)
-    cols = np.tile(cls, n)
-    prods = cls[np.asarray(G.table, dtype=np.int64).ravel()]
-    np.add.at(counts, (rows, cols, prods), 1.0)
-    sizes = np.asarray(cc.class_sizes, dtype=np.float64)
-    return counts / sizes[None, None, :]
+    a = np.empty((k, k, k), dtype=np.float64)
+    for t, z in enumerate(cc.representatives):
+        pairs = cls * k + cls[G.table[G.inverses, z]]
+        a[:, :, t] = np.bincount(pairs, minlength=k * k).reshape(k, k)
+    return a
 
 
 def character_table(G, seed=0, tol=ORTHOGONALITY_TOL, max_attempts=8):
@@ -66,7 +68,10 @@ def character_table(G, seed=0, tol=ORTHOGONALITY_TOL, max_attempts=8):
     """
     cached = getattr(G, "_chartab_cache", None)
     if cached is not None and cached[0] == (seed, tol):
-        return cached[1]
+        _, table, degrees = cached
+        return CharacterTable(
+            group=G, partition=conjugacy_classes(G), table=table, degrees=degrees
+        )
     cc = conjugacy_classes(G)
     a = structure_constants(G)
     sizes = np.asarray(cc.class_sizes, dtype=np.float64)
@@ -82,7 +87,7 @@ def character_table(G, seed=0, tol=ORTHOGONALITY_TOL, max_attempts=8):
         except (NonIntegralError, EigenDecompositionError) as exc:
             last_error = exc
             continue
-        G._chartab_cache = ((seed, tol), ct)
+        G._chartab_cache = ((seed, tol), ct.table, ct.degrees)
         return ct
     raise EigenDecompositionError(
         f"no valid character table after {max_attempts} attempts: {last_error}"

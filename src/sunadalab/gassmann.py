@@ -69,11 +69,20 @@ def almost_conjugate(G, H1, H2):
     return class_intersection_counts(G, H1) == class_intersection_counts(G, H2)
 
 
+def _permutation_character(G, H):
+    """``permutation_character(G, H)``, computed from the coset action once
+    per subgroup of G and kept on G, keyed by the subgroup's element tuple."""
+    pc = G._perm_chars.get(H.elements)
+    if pc is None:
+        pc = G._perm_chars[H.elements] = permutation_character(G, H)
+    return pc
+
+
 def induced_multiplicities(G, H, ct=None):
     """Multiplicity of each irreducible in the coset representation on G/H."""
     if ct is None:
         ct = character_table(G)
-    return multiplicities(ct, permutation_character(G, H))
+    return multiplicities(ct, _permutation_character(G, H))
 
 
 def representation_equivalent(G, H1, H2, ct=None):
@@ -115,8 +124,9 @@ def triple_report(G, H1, H2, ct=None):
     c1 = class_intersection_counts(G, H1)
     c2 = class_intersection_counts(G, H2)
     ac = c1 == c2
-    pc = permutation_character(G, H1)
-    rep_eq = multiplicities(ct, pc) == induced_multiplicities(G, H2, ct)
+    pc = _permutation_character(G, H1)
+    m = multiplicities(ct, [pc, _permutation_character(G, H2)])
+    rep_eq = bool(np.array_equal(m[0], m[1]))
     if ac != rep_eq:
         raise PreconditionError(
             "class counting and character multiplicities disagree; "

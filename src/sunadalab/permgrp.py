@@ -43,6 +43,13 @@ class Permutation:
             raise ValueError(f"not a bijection on 0..{len(images) - 1}: {images}")
         self.images = images
 
+    @classmethod
+    def _trusted(cls, images):
+        """Wrap an image sequence already known to be a bijection."""
+        perm = cls.__new__(cls)
+        perm.images = tuple(images)
+        return perm
+
     @property
     def degree(self):
         return len(self.images)
@@ -151,17 +158,20 @@ class PermutationGroup:
     ``elements[0]`` is the identity.  ``table[i, j]`` indexes the
     composition ``elements[i] * elements[j]``; it and the inverse array
     are built lazily on first use.
+
+    Whatever is cached on the group is plain data (arrays, tuples and
+    dicts of them), never an object that refers back to the group, so a
+    group is in no reference cycle and is freed as soon as it is dropped.
     """
 
-    def __init__(self, degree, generators, elements):
+    def __init__(self, degree, generators, images):
         self.degree = degree
         self.generators = list(generators)
-        self.elements = list(elements)
-        self.order = len(elements)
-        self._images = np.array(
-            [e.images for e in elements], dtype=np.int32
-        ).reshape(self.order, degree)
-        self._index = {self._images[i].tobytes(): i for i in range(self.order)}
+        self._images = images
+        self.order = len(images)
+        # every row is a product of validated generators
+        self.elements = [Permutation._trusted(row) for row in images.tolist()]
+        self._index = {row.tobytes(): i for i, row in enumerate(images)}
         self._table = None
         self._inv = None
         self._classes = None
@@ -170,12 +180,14 @@ class PermutationGroup:
         # conjugate; classes are entered whole, and the trivial subgroup
         # is a class of its own
         self._class_label = {(0,): (0,)}
+        # element tuple of each subgroup -> its permutation character
+        self._perm_chars = {}
 
     @property
     def table(self):
         if self._table is None:
             gens = [self.index_of(g) for g in self.generators]
-            self._table = _kernels.mul_table(self._images, gens)
+            self._table = _kernels.mul_table(self._images, gens, self._index)
         return self._table
 
     @property
@@ -268,35 +280,49 @@ class CosetSpace:
 def generate_group(degree, generators, max_order=DEFAULT_MAX_ORDER):
     """Close a generator list under composition.
 
-    Raises GroupSizeError as soon as the closure exceeds ``max_order``.
+    The closure runs on int32 image rows.  Each breadth-first round forms
+    every product of a frontier row with each generator in one gather
+    (``frontier[:, gens]`` is x∘g, ``gens[:, frontier]`` is g∘x) and keeps
+    the rows not seen before.  Raises GroupSizeError after the first
+    round that takes the closure past ``max_order``.
     """
     for g in generators:
         if g.degree != degree:
             raise ValueError(f"generator {g} has degree {g.degree}, expected {degree}")
-    ident = Permutation.identity(degree)
-    elems = {ident.images: ident}
-    frontier = [ident]
-    gens = list(generators)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                for y in (x * g, g * x):
-                    if y.images not in elems:
-                        elems[y.images] = y
-                        fresh.append(y)
-                        if len(elems) > max_order:
-                            raise GroupSizeError(
-                                f"closure exceeds max order {max_order} "
-                                f"(degree {degree}, {len(gens)} generators)"
-                            )
-        frontier = fresh
-    ordered = [elems[key] for key in sorted(elems)]
-    return PermutationGroup(degree, generators, ordered)
+    gens = np.array(
+        [g.images for g in generators], dtype=np.int32
+    ).reshape(len(generators), degree)
+    frontier = np.arange(degree, dtype=np.int32)[None, :]
+    seen = {frontier.tobytes()}
+    found = [frontier]
+    # each row as one bytes object, the same bytes as ``row.tobytes()``
+    row_bytes = np.dtype((np.void, frontier.nbytes))
+    while len(frontier):
+        count = len(frontier) * len(gens)
+        products = np.concatenate([
+            frontier[:, gens].reshape(count, degree),
+            gens[:, frontier].reshape(count, degree),
+        ])
+        keys = products.view(row_bytes).ravel().tolist()
+        # one index per new row; a row found twice keeps its last index
+        fresh = {key: i for i, key in enumerate(keys) if key not in seen}
+        seen.update(fresh)
+        if fresh and len(seen) > max_order:
+            raise GroupSizeError(
+                f"closure exceeds max order {max_order} "
+                f"(degree {degree}, {len(gens)} generators)"
+            )
+        frontier = products[list(fresh.values())]
+        found.append(frontier)
+    rows = np.concatenate(found)
+    # lexsort takes its primary key last; at degree 0 there is one row
+    order = np.lexsort(rows.T[::-1]) if degree else [0]
+    images = np.ascontiguousarray(rows[order])
+    return PermutationGroup(degree, generators, images)
 
 
 def conjugacy_classes(G):
-    """Partition of G by g ~ x g x^{-1}; cached on the group."""
+    """Partition of G by g ~ x g x^{-1}; its data is cached on the group."""
     if G._classes is None:
         class_of = _kernels.conjugacy_partition(G.table, G.inverses)
         num = int(class_of.max()) + 1
@@ -305,13 +331,11 @@ def conjugacy_classes(G):
             members = np.nonzero(class_of == c)[0]
             reps.append(int(members.min()))
             sizes.append(len(members))
-        G._classes = ConjugacyClassPartition(
-            group=G,
-            class_of=class_of,
-            representatives=tuple(reps),
-            class_sizes=tuple(sizes),
-        )
-    return G._classes
+        G._classes = (class_of, tuple(reps), tuple(sizes))
+    class_of, reps, sizes = G._classes
+    return ConjugacyClassPartition(
+        group=G, class_of=class_of, representatives=reps, class_sizes=sizes
+    )
 
 
 def subgroup_generate(G, gens):
@@ -514,12 +538,13 @@ def subgroups_of_order(G, m, budget=DEFAULT_SUBGROUP_BUDGET):
 
 
 def all_subgroups(G, budget=DEFAULT_SUBGROUP_BUDGET):
-    """Every subgroup of G, deterministic order; cached on the group."""
+    """Every subgroup of G, deterministic order; their element tuples are
+    cached on the group."""
     if G._all_subgroups is None:
-        G._all_subgroups = _enumerate_subgroups(
+        G._all_subgroups = [H.elements for H in _enumerate_subgroups(
             G, lambda n: True, lambda n: True, budget, G.order
-        )[0]
-    return G._all_subgroups
+        )[0]]
+    return [Subgroup(parent=G, elements=e) for e in G._all_subgroups]
 
 
 def _check_subgroup(G, H):

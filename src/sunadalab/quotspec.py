@@ -112,7 +112,7 @@ class GSpace:
     @cached_property
     def _isotypic_cache(self):
         """(character table, decomposition, counts) per key (id of the
-        character table, cluster_tol), filled by
+        character table's value array, cluster_tol), filled by
         isotypic_multiplicities.  The IsotypicTable itself is not kept,
         because it refers back to the space."""
         return {}
@@ -472,8 +472,10 @@ def isotypic_multiplicities(space, ct=None, cluster_tol=None):
     """
     if ct is None:
         ct = character_table(space.group)
-    # the entry holds ct, so its id is not reused while the entry exists
-    key = (id(ct), cluster_tol)
+    # a table is known by its value array, shared by every CharacterTable
+    # the group's cache returns; the entry holds ct and so that array,
+    # whose id is not reused while the entry exists
+    key = (id(ct.table), cluster_tol)
     if key not in space._isotypic_cache:
         space._isotypic_cache[key] = (ct, *_isotypic_counts(space, ct, cluster_tol))
     _, decomp, counts = space._isotypic_cache[key]

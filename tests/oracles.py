@@ -38,6 +38,30 @@ def closure(generators, degree):
     return elems
 
 
+def mul_table(elements, generators):
+    """Composition table by breadth-first search from the identity.
+
+    ``elements`` lists the image tuples in index order, identity first;
+    ``generators`` are the indices of a generating set.  Only the
+    generators' rows are composed: row s∘x is row s read through row x.
+    Returns nested lists, or raises ValueError if the generators do not
+    reach every element."""
+    index = {e: i for i, e in enumerate(elements)}
+    gen_rows = [[index[compose(elements[s], e)] for e in elements] for s in generators]
+    table = [None] * len(elements)
+    table[0] = list(range(len(elements)))
+    queue = [0]
+    for x in queue:  # the queue grows while it is walked
+        for row in gen_rows:
+            y = row[x]
+            if table[y] is None:
+                table[y] = [row[j] for j in table[x]]
+                queue.append(y)
+    if len(queue) < len(elements):
+        raise ValueError(f"generators reach {len(queue)} of {len(elements)} elements")
+    return table
+
+
 def conjugacy_classes(elems):
     """Set of frozensets partitioning ``elems`` by conjugation."""
     elems = set(elems)
@@ -124,6 +148,23 @@ def class_counts(elems, subgroup, classes=None):
     if classes is None:
         classes = conjugacy_classes(elems)
     return tuple(len(c & set(subgroup)) for c in sorted(classes, key=min))
+
+
+def structure_constants(table, class_of, class_sizes):
+    """Class-algebra structure constants by scanning every product:
+    a[i][j][t] = #{(x, y): x in C_i, y in C_j, xy in C_t} / |C_t|.
+    ``table`` is the composition table as nested lists.  Floats, as
+    nested lists."""
+    k = len(class_sizes)
+    counts = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for x, row in enumerate(table):
+        plane = counts[class_of[x]]
+        for y, xy in enumerate(row):
+            plane[class_of[y]][class_of[xy]] += 1
+    return [
+        [[c / n for c, n in zip(line, class_sizes)] for line in plane]
+        for plane in counts
+    ]
 
 
 def exact_inner_product(values_a, values_b, class_sizes, order):

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -236,3 +237,36 @@ def test_structure_constants_identity_row(s4):
     sizes = np.asarray(cc.class_sizes, dtype=np.float64)
     lhs = np.tensordot(a, sizes, axes=([2], [0]))
     assert np.allclose(lhs, np.outer(sizes, sizes))
+
+
+def _structure_constant_groups(groups):
+    yield from (groups[name] for name in ("s3", "s4", "d4", "q8", "z6", "aff8"))
+    yield sl.generate_group(5, [sl.parse_cycles("(0 1 2 3 4)", 5), sl.parse_cycles("(0 1)", 5)])
+    yield sl.generate_group(
+        7, [sl.parse_cycles("(0 1 2 3 4 5 6)", 7), sl.parse_cycles("(2 4)(5 6)", 7)]
+    )
+    yield sl.load_bundled_group("psl211")
+
+
+def test_structure_constants_match_oracle(groups):
+    for G in _structure_constant_groups(groups):
+        cc = sl.conjugacy_classes(G)
+        expect = oracles.structure_constants(
+            G.table.tolist(), cc.class_of.tolist(), cc.class_sizes
+        )
+        got = ch.structure_constants(G)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.array(expect)), G
+
+
+def test_structure_constants_memory():
+    G = sl.load_bundled_group("psl211")
+    sl.conjugacy_classes(G)
+    G.inverses  # the table and inverses exist before the measurement
+    tracemalloc.start()
+    try:
+        ch.structure_constants(G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

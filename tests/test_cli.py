@@ -375,6 +375,38 @@ def test_bundled_report_matches_reference(name, capsys, monkeypatch):
     assert out.encode("utf-8") == (WORKLOADS.REFS / f"{name}.out").read_bytes()
 
 
+_RUN_BUNDLED = """
+import contextlib, io, json, sys
+from sunadalab.cli import main
+outputs = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    outputs[name] = [code, out.getvalue()]
+print(json.dumps({"outputs": outputs, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_bundled_commands_do_not_import_numpy_ma():
+    # numpy.ma costs about 16 ms of import and 0.8 MB of memory; np.unique
+    # with axis= and np.setdiff1d import it on first use
+    env = {k: v for k, v in os.environ.items() if not k.startswith("SUNADALAB_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_BUNDLED, json.dumps(WORKLOADS.CLI_COMMANDS)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    for name, (code, out) in result["outputs"].items():
+        assert code == 0
+        assert out.encode("utf-8") == (WORKLOADS.REFS / f"{name}.out").read_bytes(), name
+    assert sorted(result["outputs"]) == sorted(WORKLOADS.CLI_COMMANDS)
+    assert result["numpy.ma"] is False
+
+
 def test_env_overrides(tmp_path, capsys, monkeypatch):
     out = tmp_path / "env.json"
     monkeypatch.setenv("SUNADALAB_OUT", str(out))

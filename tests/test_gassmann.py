@@ -4,6 +4,7 @@ import pytest
 
 import oracles
 import sunadalab as sl
+from sunadalab import chartab
 from sunadalab import gassmann as gs
 from sunadalab.errors import BudgetExceededError, PreconditionError
 from sunadalab.permgrp import conjugate_by_all
@@ -181,3 +182,49 @@ def test_induced_multiplicities_dimension(s4):
         mult = gs.induced_multiplicities(s4, H, ct)
         dim = sum(m * d for m, d in zip(mult, ct.degrees))
         assert dim == s4.order // H.order
+
+
+def _psl32():
+    return sl.generate_group(
+        7, [sl.parse_cycles("(0 1 2 3 4 5 6)", 7), sl.parse_cycles("(2 4)(5 6)", 7)]
+    )
+
+
+def test_one_coset_space_per_subgroup(monkeypatch):
+    G = _psl32()
+    spaces = []
+    build = chartab.coset_space
+    monkeypatch.setattr(chartab, "coset_space", lambda G, H: spaces.append(H) or build(G, H))
+    pairs = gs.gassmann_search(G, 24)
+    reports = [gs.triple_report(G, H1, H2) for H1, H2 in pairs]
+    assert len(pairs) == 49
+    assert len(spaces) == 14
+    assert len({H.elements for H in spaces}) == 14
+    for (H1, H2), report in zip(pairs, reports):
+        fresh = _psl32()  # no characters cached
+        subgroups = [sl.subgroup_from_indices(fresh, H.elements) for H in (H1, H2)]
+        assert gs.triple_report(fresh, *subgroups) == report
+
+
+def test_disagreement_raises_with_cached_characters(s4, monkeypatch):
+    # a pair that is not almost conjugate, and a table with only the
+    # trivial row, under which every coset character looks the same
+    subs = sl.subgroups_of_order(s4, 2)
+    H1, H2 = subs[0], next(H for H in subs if not gs.almost_conjugate(s4, subs[0], H))
+    assert not gs.triple_report(s4, H1, H2).almost_conjugate  # caches both characters
+    ct = sl.character_table(s4)
+    trivial_only = chartab.CharacterTable(
+        group=s4, partition=ct.partition, table=ct.table[:1], degrees=ct.degrees[:1]
+    )
+    monkeypatch.setattr(gs, "character_table", lambda G: trivial_only)
+    with pytest.raises(PreconditionError, match="disagree"):
+        gs.triple_report(s4, H1, H2)
+
+
+def test_cached_characters_match_coset_action(groups):
+    for G in groups.values():
+        for H in sl.all_subgroups(G):
+            assert gs._permutation_character(G, H) == chartab.permutation_character(G, H)
+        assert set(G._perm_chars) == {H.elements for H in sl.all_subgroups(G)}
+        assert all(isinstance(v, tuple) for v in G._perm_chars.values())
+        assert all(type(x) is int for v in G._perm_chars.values() for x in v)

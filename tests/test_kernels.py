@@ -19,7 +19,8 @@ def _images(group_elems):
 
 def _table(images, gen_images):
     index = {tuple(row): i for i, row in enumerate(images.tolist())}
-    return K.mul_table(images, [index[tuple(g)] for g in gen_images])
+    lookup = {row.tobytes(): i for i, row in enumerate(images)}
+    return K.mul_table(images, [index[tuple(g)] for g in gen_images], lookup)
 
 
 @pytest.fixture(scope="module")

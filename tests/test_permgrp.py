@@ -94,6 +94,50 @@ def test_max_order_enforced():
         generate_group(8, [add1, mul3], max_order=10)
 
 
+def _oracle_group(degree, gens):
+    """Sorted elements and composition table of <gens> by the oracles."""
+    elements = sorted(oracles.closure(gens, degree))
+    index = {e: i for i, e in enumerate(elements)}
+    return elements, oracles.mul_table(elements, [index[tuple(g)] for g in gens])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.permutations(list(range(n))), max_size=3))
+))
+def test_closure_matches_oracle_on_random_generators(degree_and_gens):
+    degree, gens = degree_and_gens
+    G = generate_group(degree, [Permutation(g) for g in gens])
+    elements, table = _oracle_group(degree, gens)
+    assert [g.images for g in G.elements] == elements
+    assert G.table.tolist() == table
+
+
+@pytest.mark.parametrize("name", ["s3", "s4", "z4", "z6", "z8", "d4", "q8", "aff8", "psl211"])
+def test_bundled_closure_matches_oracle(name):
+    G = sl.load_bundled_group(name)
+    elements, table = _oracle_group(G.degree, [g.images for g in G.generators])
+    assert [g.images for g in G.elements] == elements
+    assert G.table.tolist() == table
+
+
+@pytest.mark.parametrize("name", ["s4", "aff8", "psl211"])
+def test_max_order_is_exact(name):
+    G = sl.load_bundled_group(name)
+    assert generate_group(G.degree, G.generators, max_order=G.order).order == G.order
+    with pytest.raises(GroupSizeError) as info:
+        generate_group(G.degree, G.generators, max_order=G.order - 1)
+    assert str(info.value) == (
+        f"closure exceeds max order {G.order - 1} "
+        f"(degree {G.degree}, {len(G.generators)} generators)"
+    )
+
+
+def test_generator_of_wrong_degree_rejected():
+    with pytest.raises(ValueError, match="has degree 3, expected 4"):
+        generate_group(4, [Permutation((1, 2, 3, 0)), Permutation((1, 0, 2))])
+
+
 def test_mul_table_against_oracle(s4):
     rng = np.random.default_rng(7)
     for _ in range(40):

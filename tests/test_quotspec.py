@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -458,6 +461,30 @@ def test_isotypic_counts_computed_once_per_space(aff8_triple, monkeypatch):
     assert table.space is space
     qs.isotypic_multiplicities(space, cluster_tol=1e-6)
     assert len(calls) == 2  # another tolerance is another table
+
+
+def _use_every_cache():
+    """Fill every cache of a fresh group and of a G-space on it; return
+    only a weak reference to the group."""
+    G = sl.load_bundled_group("aff8")
+    sl.all_subgroups(G)
+    H1, H2 = sl.gassmann_search(G, 4)[0]
+    assert sl.triple_report(G, H1, H2).almost_conjugate
+    space = qs.cayley_graph(G)
+    assert qs.sunada_identity_check(space, H1).holds
+    assert qs.donnelly_support(space).law_holds
+    return weakref.ref(G)
+
+
+def test_group_is_freed_without_the_cycle_collector():
+    # nothing cached on a group refers back to it, so a dropped group and
+    # its |G|^2 table go at once, not at the next cyclic collection
+    gc.collect()
+    gc.disable()
+    try:
+        assert _use_every_cache()() is None
+    finally:
+        gc.enable()
 
 
 def test_donnelly_regular_action(q8):
