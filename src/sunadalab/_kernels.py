@@ -94,18 +94,20 @@ def _extend(table, H, gens, limit):
 
 
 def conjugacy_partition(table, inv):
-    """class_of[g] for the relation g ~ x g x^{-1}."""
+    """class_of[g] for the relation g ~ x g x^{-1}, and the conjugates of
+    each class's least element g_t: row t of the (classes, n) array holds
+    x g_t x^{-1} for every x, so its column 0 (x the identity) is g_t."""
     n = table.shape[0]
     class_of = np.full(n, -1, dtype=np.int64)
     xs = np.arange(n)
-    next_class = 0
+    rows = []
     for g in range(n):
         if class_of[g] >= 0:
             continue
         conjugates = table[xs, table[g, inv[xs]]]
-        class_of[conjugates] = next_class
-        next_class += 1
-    return class_of
+        class_of[conjugates] = len(rows)
+        rows.append(conjugates)
+    return class_of, np.stack(rows)
 
 
 def heat_sum(eigenvalues, multiplicities, t_grid):

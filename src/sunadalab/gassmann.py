@@ -23,9 +23,8 @@ from .chartab import (
 )
 from .errors import PreconditionError
 from .permgrp import (
-    Subgroup,
+    _class_data,
     are_conjugate_subgroups,
-    conjugacy_classes,
     conjugate_by_all,
     subgroup_classes_of_order,
 )
@@ -56,12 +55,14 @@ class TripleReport:
 
 
 def class_intersection_counts(G, H):
-    """Number of elements of H inside each conjugacy class of G."""
-    cc = conjugacy_classes(G)
-    counts = np.bincount(
-        np.asarray(cc.class_of)[H.indices()], minlength=cc.num_classes
-    )
-    return tuple(int(c) for c in counts)
+    """Number of elements of H inside each conjugacy class of G, counted
+    once per subgroup of G and kept on G, keyed by its element tuple."""
+    counts = G._class_counts.get(H.elements)
+    if counts is None:
+        class_of, _, sizes, _ = _class_data(G)
+        hits = np.bincount(class_of[H.indices()], minlength=len(sizes))
+        counts = G._class_counts[H.elements] = tuple(hits.tolist())
+    return counts
 
 
 def almost_conjugate(G, H1, H2):
@@ -70,8 +71,9 @@ def almost_conjugate(G, H1, H2):
 
 
 def _permutation_character(G, H):
-    """``permutation_character(G, H)``, computed from the coset action once
-    per subgroup of G and kept on G, keyed by the subgroup's element tuple."""
+    """``permutation_character(G, H)``, computed from the conjugates of the
+    class representatives once per subgroup of G and kept on G, keyed by
+    the subgroup's element tuple."""
     pc = G._perm_chars.get(H.elements)
     if pc is None:
         pc = G._perm_chars[H.elements] = permutation_character(G, H)

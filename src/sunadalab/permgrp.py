@@ -12,7 +12,7 @@ intended scale is |G| in the hundreds, with a hard configurable cap.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -180,8 +180,10 @@ class PermutationGroup:
         # conjugate; classes are entered whole, and the trivial subgroup
         # is a class of its own
         self._class_label = {(0,): (0,)}
-        # element tuple of each subgroup -> its permutation character
+        # element tuple of each subgroup -> its permutation character, and
+        # its number of elements in each conjugacy class
         self._perm_chars = {}
+        self._class_counts = {}
 
     @property
     def table(self):
@@ -223,10 +225,11 @@ class Subgroup:
 
     parent: PermutationGroup
     elements: tuple
+    # set once here; equality and hashing stay on (parent, elements)
+    order: int = field(init=False, compare=False)
 
-    @property
-    def order(self):
-        return len(self.elements)
+    def __post_init__(self):
+        object.__setattr__(self, "order", len(self.elements))
 
     def __contains__(self, idx):
         return idx in set(self.elements)
@@ -321,18 +324,22 @@ def generate_group(degree, generators, max_order=DEFAULT_MAX_ORDER):
     return PermutationGroup(degree, generators, images)
 
 
+def _class_data(G):
+    """The class data of G, computed once and cached on the group: the
+    tuple (class_of, representatives, class_sizes, conjugates), where row
+    t of ``conjugates`` holds x g_t x^{-1} for every x and g_t, the least
+    element of class t, is its column 0."""
+    if G._classes is None:
+        class_of, conjugates = _kernels.conjugacy_partition(G.table, G.inverses)
+        reps = tuple(conjugates[:, 0].tolist())
+        sizes = tuple(np.bincount(class_of).tolist())
+        G._classes = (class_of, reps, sizes, conjugates)
+    return G._classes
+
+
 def conjugacy_classes(G):
     """Partition of G by g ~ x g x^{-1}; its data is cached on the group."""
-    if G._classes is None:
-        class_of = _kernels.conjugacy_partition(G.table, G.inverses)
-        num = int(class_of.max()) + 1
-        reps, sizes = [], []
-        for c in range(num):
-            members = np.nonzero(class_of == c)[0]
-            reps.append(int(members.min()))
-            sizes.append(len(members))
-        G._classes = (class_of, tuple(reps), tuple(sizes))
-    class_of, reps, sizes = G._classes
+    class_of, reps, sizes, _ = _class_data(G)
     return ConjugacyClassPartition(
         group=G, class_of=class_of, representatives=reps, class_sizes=sizes
     )

@@ -124,6 +124,19 @@ def coset_fixed_points(elems, subgroup, g):
     )
 
 
+def permutation_character(elems, subgroup, reps):
+    """Number of left cosets xH fixed by each g in ``reps``.  The cosets
+    are formed once, first fit over ``elems``; g fixes xH exactly when
+    g x lies in xH."""
+    cosets, covered = [], set()
+    for x in elems:
+        if x not in covered:
+            coset = frozenset(compose(x, h) for h in subgroup)
+            covered |= coset
+            cosets.append((x, coset))
+    return tuple(sum(compose(g, x) in coset for x, coset in cosets) for g in reps)
+
+
 def coset_space(table, subgroup):
     """Left cosets xH numbered first fit: scan the element indices in
     order, and each one not yet in a coset opens the next coset.

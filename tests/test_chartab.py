@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import sunadalab as sl
 from sunadalab import chartab as ch
-from sunadalab.errors import NonIntegralError
+from sunadalab import gassmann as gs
+from sunadalab.errors import NonIntegralError, NotASubgroupError
 
 
 def _gram_deviation(ct):
@@ -94,6 +97,64 @@ def test_regular_character(q8):
     ct = ch.character_table(q8)
     # every irrep appears with multiplicity equal to its degree
     assert ch.multiplicities(ct, vals) == ct.degrees
+
+
+def _check_permutation_character(G, H, reps, coset_oracle=False):
+    """The fixed-coset counts against the plain-Python cosets, and the
+    exact identity pi_t |H| n_t = |G| c_t with the class counts c_t: the
+    x with x g_t x^{-1} in H number c_t |C_G(g_t)| = c_t |G| / n_t."""
+    pc = ch.permutation_character(G, H)
+    assert all(type(v) is int for v in pc)
+    elems = [e.images for e in G.elements]
+    sub = [p.images for p in H.permutations()]
+    assert pc == oracles.permutation_character(elems, sub, reps), H
+    if coset_oracle:
+        assert pc == tuple(oracles.coset_fixed_points(elems, sub, g) for g in reps), H
+    sizes = sl.conjugacy_classes(G).class_sizes
+    counts = gs.class_intersection_counts(G, H)
+    assert [p * H.order * n for p, n in zip(pc, sizes)] == [G.order * c for c in counts], H
+
+
+def test_permutation_character_matches_coset_oracle(groups):
+    s5 = sl.generate_group(5, [sl.parse_cycles("(0 1 2 3 4)", 5), sl.parse_cycles("(0 1)", 5)])
+    for G in [*groups.values(), s5, sl.load_bundled_group("psl211")]:
+        reps = [G.elements[r].images for r in sl.conjugacy_classes(G).representatives]
+        for H in sl.all_subgroups(G):
+            _check_permutation_character(G, H, reps, coset_oracle=G.order <= 32)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.permutations(list(range(n))), max_size=3))
+), st.data())
+def test_permutation_character_on_random_groups(degree_and_gens, data):
+    degree, gens = degree_and_gens
+    G = sl.generate_group(degree, [sl.Permutation(g) for g in gens])
+    seed = data.draw(st.lists(st.integers(0, G.order - 1), max_size=2))
+    H = sl.subgroup_generate(G, seed)
+    reps = [G.elements[r].images for r in sl.conjugacy_classes(G).representatives]
+    _check_permutation_character(G, H, reps, coset_oracle=True)
+
+
+def test_permutation_character_rejects_foreign_subgroup(s3):
+    other = sl.load_bundled_group("s3")
+    with pytest.raises(NotASubgroupError):
+        ch.permutation_character(s3, sl.subgroup_generate(other, []))
+
+
+def test_permutation_character_memory():
+    # the coset route built a 660 x 660 int64 action for this subgroup
+    G = sl.load_bundled_group("psl211")
+    trivial = sl.subgroup_generate(G, [])
+    sl.conjugacy_classes(G)  # the table and the class data exist before the measurement
+    tracemalloc.start()
+    try:
+        pc = ch.permutation_character(G, trivial)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pc == (G.order,) + (0,) * (len(pc) - 1)
+    assert peak < 1 << 20
 
 
 def test_multiplicity_rejects_non_integral(s3):

@@ -190,16 +190,18 @@ def _psl32():
     )
 
 
-def test_one_coset_space_per_subgroup(monkeypatch):
+def test_one_permutation_character_per_subgroup(monkeypatch):
     G = _psl32()
-    spaces = []
-    build = chartab.coset_space
-    monkeypatch.setattr(chartab, "coset_space", lambda G, H: spaces.append(H) or build(G, H))
+    computed = []
+    compute = gs.permutation_character
+    monkeypatch.setattr(gs, "permutation_character", lambda G, H: computed.append(H) or compute(G, H))
     pairs = gs.gassmann_search(G, 24)
     reports = [gs.triple_report(G, H1, H2) for H1, H2 in pairs]
     assert len(pairs) == 49
-    assert len(spaces) == 14
-    assert len({H.elements for H in spaces}) == 14
+    assert len(computed) == 14
+    assert len({H.elements for H in computed}) == 14
+    # the class counts are kept for the same 14 subgroups
+    assert set(G._class_counts) == {H.elements for H in computed}
     for (H1, H2), report in zip(pairs, reports):
         fresh = _psl32()  # no characters cached
         subgroups = [sl.subgroup_from_indices(fresh, H.elements) for H in (H1, H2)]
