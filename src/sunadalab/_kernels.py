@@ -94,20 +94,17 @@ def _extend(table, H, gens, limit):
 
 
 def conjugacy_partition(table, inv):
-    """class_of[g] for the relation g ~ x g x^{-1}, and the conjugates of
-    each class's least element g_t: row t of the (classes, n) array holds
-    x g_t x^{-1} for every x, so its column 0 (x the identity) is g_t."""
+    """class_of[g] for the relation g ~ x g x^{-1}, and the representative
+    of each class: its least element, the first one the scan meets."""
     n = table.shape[0]
     class_of = np.full(n, -1, dtype=np.int64)
     xs = np.arange(n)
-    rows = []
+    reps = []
     for g in range(n):
-        if class_of[g] >= 0:
-            continue
-        conjugates = table[xs, table[g, inv[xs]]]
-        class_of[conjugates] = len(rows)
-        rows.append(conjugates)
-    return class_of, np.stack(rows)
+        if class_of[g] < 0:
+            class_of[table[xs, table[g, inv]]] = len(reps)
+            reps.append(g)
+    return class_of, reps
 
 
 def heat_sum(eigenvalues, multiplicities, t_grid):

@@ -24,6 +24,7 @@ from .permgrp import (
     PermutationGroup,
     _check_subgroup,
     _class_data,
+    class_intersection_counts,
     conjugacy_classes,
 )
 
@@ -174,26 +175,23 @@ def permutation_character(G, H):
     """Character of the left-translation action of G on the cosets G/H:
     the number of cosets each class representative fixes.
 
-    g fixes xH exactly when x^{-1} g x is in H, so the count for g_t is
-    #{x in G : x g_t x^{-1} in H} / |H|, read through the conjugates of
-    each representative that the class partition keeps: k·|G| work and
-    memory, no coset space."""
+    g fixes xH exactly when x^{-1} g x is in H.  The x that conjugate g_t
+    into H number c_t |C_G(g_t)| = c_t |G| / n_t, where c_t is the number
+    of elements of H in class t and n_t its size, and each coset is met
+    |H| times, so the count is |G| c_t / (|H| n_t): k integer operations
+    on the class counts, exact, with no coset space."""
     _check_subgroup(G, H)
-    member = np.zeros(G.order, dtype=bool)
-    member[H.indices()] = True
-    *_, conjugates = _class_data(G)
-    hits = np.count_nonzero(member[conjugates], axis=1)
-    return tuple((hits // H.order).tolist())
+    _, _, sizes = _class_data(G)
+    counts = class_intersection_counts(G, H)
+    return tuple(G.order * c // (H.order * n) for c, n in zip(counts, sizes))
 
 
 def _fixed_vector_counts(ct, K):
     """Dimension of the K-fixed vectors in every irreducible row,
-    (1/|K|) sum_{k in K} chi(k).  With c_t elements of K in class t of
-    size n_t, this is the pairing of chi with |G| c_t / (|K| n_t)."""
-    cc = ct.partition
-    hits = np.bincount(np.asarray(cc.class_of)[K.indices()], minlength=cc.num_classes)
-    sizes = np.asarray(cc.class_sizes, dtype=np.float64)
-    return multiplicities(ct, hits * (ct.group.order / K.order) / sizes)
+    (1/|K|) sum_{k in K} chi(k).  By Frobenius reciprocity this is the
+    multiplicity of each irreducible in the permutation character of G
+    on G/K, which is how it is computed."""
+    return multiplicities(ct, permutation_character(ct.group, K))
 
 
 def trivial_multiplicity_on_restriction(ct, row, K):

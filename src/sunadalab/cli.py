@@ -235,11 +235,11 @@ def _parse_model(text, nmax):
     except ValueError as exc:
         raise ParseError(f"bad model parameter in {text!r}") from exc
     if kind == "circle" and len(params) == 1:
-        return heatkit.circle_spectrum(params[0], nmax if nmax else 20000)
+        return heatkit.circle_spectrum(params[0], 20000 if nmax is None else nmax)
     if kind == "interval" and len(params) == 1:
-        return heatkit.interval_neumann_spectrum(params[0], nmax if nmax else 20000)
+        return heatkit.interval_neumann_spectrum(params[0], 20000 if nmax is None else nmax)
     if kind == "torus" and len(params) == 2:
-        n = nmax if nmax else 700
+        n = 700 if nmax is None else nmax
         if (n + 1) ** 2 > MAX_DENSE_ENTRIES:
             raise PreconditionError(
                 f"torus lattice at nmax={n} is too large; lower --nmax"

@@ -4,9 +4,11 @@ Two subgroups H1, H2 of G are almost conjugate when every conjugacy
 class of G meets them in the same number of elements.  That counting
 condition holds exactly when the quasi-regular representations of G on
 the coset spaces G/H1 and G/H2 are equivalent, which is what makes such
-pairs produce isospectral quotients downstream.  Both routes are
-implemented separately (class counting here, character multiplicities
-through the table) so each can certify the other.
+pairs produce isospectral quotients downstream.  The permutation
+character of G/H is read off the class counts, so the certificate in
+``triple_report`` checks the character table: distinct class counts must
+give distinct multiplicities, which fails when the table misses an
+irreducible.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chartab import (
+    _fixed_vector_counts,
     character_table,
     irreps_with_fixed_vectors,
     multiplicities,
@@ -23,8 +26,8 @@ from .chartab import (
 )
 from .errors import PreconditionError
 from .permgrp import (
-    _class_data,
     are_conjugate_subgroups,
+    class_intersection_counts,
     conjugate_by_all,
     subgroup_classes_of_order,
 )
@@ -54,37 +57,16 @@ class TripleReport:
         }
 
 
-def class_intersection_counts(G, H):
-    """Number of elements of H inside each conjugacy class of G, counted
-    once per subgroup of G and kept on G, keyed by its element tuple."""
-    counts = G._class_counts.get(H.elements)
-    if counts is None:
-        class_of, _, sizes, _ = _class_data(G)
-        hits = np.bincount(class_of[H.indices()], minlength=len(sizes))
-        counts = G._class_counts[H.elements] = tuple(hits.tolist())
-    return counts
-
-
 def almost_conjugate(G, H1, H2):
     """True iff each class of G meets H1 and H2 in equally many elements."""
     return class_intersection_counts(G, H1) == class_intersection_counts(G, H2)
-
-
-def _permutation_character(G, H):
-    """``permutation_character(G, H)``, computed from the conjugates of the
-    class representatives once per subgroup of G and kept on G, keyed by
-    the subgroup's element tuple."""
-    pc = G._perm_chars.get(H.elements)
-    if pc is None:
-        pc = G._perm_chars[H.elements] = permutation_character(G, H)
-    return pc
 
 
 def induced_multiplicities(G, H, ct=None):
     """Multiplicity of each irreducible in the coset representation on G/H."""
     if ct is None:
         ct = character_table(G)
-    return multiplicities(ct, _permutation_character(G, H))
+    return _fixed_vector_counts(ct, H)
 
 
 def representation_equivalent(G, H1, H2, ct=None):
@@ -126,8 +108,8 @@ def triple_report(G, H1, H2, ct=None):
     c1 = class_intersection_counts(G, H1)
     c2 = class_intersection_counts(G, H2)
     ac = c1 == c2
-    pc = _permutation_character(G, H1)
-    m = multiplicities(ct, [pc, _permutation_character(G, H2)])
+    pc = permutation_character(G, H1)
+    m = multiplicities(ct, [pc, permutation_character(G, H2)])
     rep_eq = bool(np.array_equal(m[0], m[1]))
     if ac != rep_eq:
         raise PreconditionError(

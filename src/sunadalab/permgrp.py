@@ -180,9 +180,8 @@ class PermutationGroup:
         # conjugate; classes are entered whole, and the trivial subgroup
         # is a class of its own
         self._class_label = {(0,): (0,)}
-        # element tuple of each subgroup -> its permutation character, and
-        # its number of elements in each conjugacy class
-        self._perm_chars = {}
+        # element tuple of each subgroup -> its number of elements in each
+        # conjugacy class, the one fact every character query reads
         self._class_counts = {}
 
     @property
@@ -326,20 +325,29 @@ def generate_group(degree, generators, max_order=DEFAULT_MAX_ORDER):
 
 def _class_data(G):
     """The class data of G, computed once and cached on the group: the
-    tuple (class_of, representatives, class_sizes, conjugates), where row
-    t of ``conjugates`` holds x g_t x^{-1} for every x and g_t, the least
-    element of class t, is its column 0."""
+    tuple (class_of, representatives, class_sizes), where the
+    representative of each class is its least element."""
     if G._classes is None:
-        class_of, conjugates = _kernels.conjugacy_partition(G.table, G.inverses)
-        reps = tuple(conjugates[:, 0].tolist())
+        class_of, reps = _kernels.conjugacy_partition(G.table, G.inverses)
         sizes = tuple(np.bincount(class_of).tolist())
-        G._classes = (class_of, reps, sizes, conjugates)
+        G._classes = (class_of, tuple(reps), sizes)
     return G._classes
+
+
+def class_intersection_counts(G, H):
+    """Number of elements of H inside each conjugacy class of G, counted
+    once per subgroup of G and kept on G, keyed by its element tuple."""
+    counts = G._class_counts.get(H.elements)
+    if counts is None:
+        class_of, _, sizes = _class_data(G)
+        hits = np.bincount(class_of[H.indices()], minlength=len(sizes))
+        counts = G._class_counts[H.elements] = tuple(hits.tolist())
+    return counts
 
 
 def conjugacy_classes(G):
     """Partition of G by g ~ x g x^{-1}; its data is cached on the group."""
-    class_of, reps, sizes, _ = _class_data(G)
+    class_of, reps, sizes = _class_data(G)
     return ConjugacyClassPartition(
         group=G, class_of=class_of, representatives=reps, class_sizes=sizes
     )

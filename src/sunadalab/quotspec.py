@@ -192,19 +192,23 @@ def cayley_graph(G, gen_indices=None, weights=None):
 
     The connection set must exclude the identity and be closed under
     inversion, with equal weights on inverse pairs; the defaults use the
-    group's own generators (symmetrized) with unit weights.
+    group's own generators (symmetrized) with unit weights.  An element
+    of the connection set without a weight takes its inverse's; the
+    caller's ``weights`` dict is left as it was.
     """
     if gen_indices is None:
         gen_indices = sorted({G.index_of(g) for g in G.generators})
     gen_indices = [int(s) for s in gen_indices]
-    if weights is None:
-        weights = {s: 1.0 for s in gen_indices}
-    conn = set(gen_indices)
-    for s in list(conn):
-        conn.add(G.inv(s))
-        weights.setdefault(G.inv(s), weights.get(s, 1.0))
-    if 0 in conn:
+    if 0 in gen_indices:
         raise PreconditionError("connection set must not contain the identity")
+    weights = {s: 1.0 for s in gen_indices} if weights is None else dict(weights)
+    conn = set(gen_indices)
+    for s in gen_indices:
+        conn.add(G.inv(s))
+        if s not in weights and G.inv(s) not in weights:
+            raise PreconditionError(f"connection element {s} and its inverse have no weight")
+        weights.setdefault(s, weights.get(G.inv(s)))
+        weights.setdefault(G.inv(s), weights[s])
     for s in conn:
         if weights[s] != weights[G.inv(s)]:
             raise PreconditionError(

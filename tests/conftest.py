@@ -1,12 +1,7 @@
-import sys
-from pathlib import Path
-
 import pytest
 
 import sunadalab as sl
 from sunadalab.permgrp import bundled_group_path
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 BUNDLED = ["s3", "s4", "z4", "z6", "z8", "d4", "q8", "aff8"]
 

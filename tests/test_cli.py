@@ -279,6 +279,17 @@ def test_heat_indicator(capsys):
     assert abs(ind["constant"] - 0.5) < 0.01
 
 
+@pytest.mark.parametrize("model", ["circle:1", "interval:1", "torus:1:1"])
+def test_heat_nmax_zero_is_kept(capsys, monkeypatch, model):
+    code, report = run_cli(["heat", "--model", model, "--nmax", "0"], capsys)
+    assert code == 0
+    assert report["inputs"][0]["nmax"] == 0
+    monkeypatch.setenv("SUNADALAB_NMAX", "0")
+    code, report = run_cli(["heat", "--model", model], capsys)
+    assert code == 0
+    assert report["inputs"][0]["nmax"] == 0
+
+
 def test_heat_torus_volume(capsys):
     code, report = run_cli(["heat", "--model", "torus:6.2832:6.2832"], capsys)
     assert code == 0
@@ -437,8 +448,12 @@ def test_console_script_smoke():
         cmd = [sys.executable, "-m", "sunadalab"]
     else:
         cmd = [exe]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
     proc = subprocess.run(
-        cmd + ["group-info", S3], capture_output=True, text=True, timeout=60
+        cmd + ["group-info", S3], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["order"] == 6

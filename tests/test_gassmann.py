@@ -190,20 +190,17 @@ def _psl32():
     )
 
 
-def test_one_permutation_character_per_subgroup(monkeypatch):
+def test_one_class_count_per_subgroup():
     G = _psl32()
-    computed = []
-    compute = gs.permutation_character
-    monkeypatch.setattr(gs, "permutation_character", lambda G, H: computed.append(H) or compute(G, H))
     pairs = gs.gassmann_search(G, 24)
     reports = [gs.triple_report(G, H1, H2) for H1, H2 in pairs]
     assert len(pairs) == 49
-    assert len(computed) == 14
-    assert len({H.elements for H in computed}) == 14
-    # the class counts are kept for the same 14 subgroups
-    assert set(G._class_counts) == {H.elements for H in computed}
+    # the class counts are the one cache a subgroup has, kept for the 14
+    # order-24 subgroups the search and the reports read
+    assert set(G._class_counts) == {H.elements for H in sl.subgroups_of_order(G, 24)}
+    assert len(G._class_counts) == 14
     for (H1, H2), report in zip(pairs, reports):
-        fresh = _psl32()  # no characters cached
+        fresh = _psl32()  # no class counts cached
         subgroups = [sl.subgroup_from_indices(fresh, H.elements) for H in (H1, H2)]
         assert gs.triple_report(fresh, *subgroups) == report
 
@@ -213,7 +210,7 @@ def test_disagreement_raises_with_cached_characters(s4, monkeypatch):
     # trivial row, under which every coset character looks the same
     subs = sl.subgroups_of_order(s4, 2)
     H1, H2 = subs[0], next(H for H in subs if not gs.almost_conjugate(s4, subs[0], H))
-    assert not gs.triple_report(s4, H1, H2).almost_conjugate  # caches both characters
+    assert not gs.triple_report(s4, H1, H2).almost_conjugate  # caches both class counts
     ct = sl.character_table(s4)
     trivial_only = chartab.CharacterTable(
         group=s4, partition=ct.partition, table=ct.table[:1], degrees=ct.degrees[:1]
@@ -223,10 +220,3 @@ def test_disagreement_raises_with_cached_characters(s4, monkeypatch):
         gs.triple_report(s4, H1, H2)
 
 
-def test_cached_characters_match_coset_action(groups):
-    for G in groups.values():
-        for H in sl.all_subgroups(G):
-            assert gs._permutation_character(G, H) == chartab.permutation_character(G, H)
-        assert set(G._perm_chars) == {H.elements for H in sl.all_subgroups(G)}
-        assert all(isinstance(v, tuple) for v in G._perm_chars.values())
-        assert all(type(x) is int for v in G._perm_chars.values() for x in v)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,22 @@ def test_classes_match_bruteforce(d4):
 
 def test_aff8_has_11_classes(aff8):
     assert sl.conjugacy_classes(aff8).num_classes == 11
+
+
+def test_abelian_class_data_memory():
+    # the cyclic group of order 2000 = 16 * 125 has 2000 classes; its class
+    # data is a label per element, not a row of conjugates per class
+    G = generate_group(141, [Permutation([*range(1, 16), 0, *range(17, 141), 16])])
+    G.inverses  # the table exists before the measurement
+    tracemalloc.start()
+    try:
+        cc = sl.conjugacy_classes(G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cc.num_classes == G.order == 2000
+    assert cc.representatives == tuple(range(2000))
+    assert peak < 1 << 20
 
 
 # --- subgroups ---------------------------------------------------------------

@@ -100,6 +100,24 @@ def test_cayley_rejects_lopsided_weights(z6):
         qs.cayley_graph(z6, [gen], {gen: 1.0, inv: 2.0})
 
 
+def test_cayley_weights_are_not_written_back(s3):
+    # element 2 is a transposition, 3 a 3-cycle whose inverse 4 has no
+    # weight of its own; the caller's dict stays as it was
+    weights = {2: 1.0, 3: 2.0}
+    space = qs.cayley_graph(s3, [2, 3], weights)
+    assert weights == {2: 1.0, 3: 2.0}
+    w = space.graph.weights
+    assert w[0, 3] == w[0, 4] == 2.0 and w[0, 2] == 1.0
+
+
+@pytest.mark.parametrize("weights, missing", [({1: 2.0}, 2), ({2: 1.0}, 3)])
+def test_cayley_rejects_unweighted_connection(s3, weights, missing):
+    given = dict(weights)
+    with pytest.raises(PreconditionError, match=f"connection element {missing} "):
+        qs.cayley_graph(s3, [2, 3], weights)
+    assert weights == given
+
+
 def test_gspace_validates_homomorphism(s3):
     graph = qs.weighted_graph(_cycle_weights(6))
     bad = np.tile(np.arange(6), (6, 1))
