@@ -12,6 +12,7 @@ fixed invocation produces byte-identical output.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -85,10 +86,6 @@ def _emit(report, out_path):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _spectrum_pairs(decomp):
-    return [[round15(v), int(m)] for v, m in decomp.clusters]
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +176,6 @@ def _cayley_space(G, gens_text):
     return quotspec.cayley_graph(G)
 
 
-def _identity_dict(rep):
-    return {
-        "eigenvalues": [round15(v) for v in rep.eigenvalues],
-        "invariant_dims": list(rep.invariant_dims),
-        "induced_sums": list(rep.induced_sums),
-        "k_rows": list(rep.k_rows),
-        "holds": rep.holds,
-    }
-
-
 def cmd_sunada(args):
     # the multiplication table, the Cayley weights, the Laplacian and its
     # eigenvectors are each |G| x |G|
@@ -215,11 +202,11 @@ def cmd_sunada(args):
         "triple": triple.to_json_dict(),
         "k_order": K.order,
         "k_equivalent": gassmann.k_equivalent(G, H1, H2, K, ct=ct),
-        "spectrum_h1": _spectrum_pairs(s1),
-        "spectrum_h2": _spectrum_pairs(s2),
-        "max_gap": round15(gap) if math.isfinite(gap) else "infinite",
-        "identity_h1": _identity_dict(id1),
-        "identity_h2": _identity_dict(id2),
+        "spectrum_h1": s1.pairs(),
+        "spectrum_h2": s2.pairs(),
+        "max_gap": gap if math.isfinite(gap) else "infinite",
+        "identity_h1": dataclasses.asdict(id1),
+        "identity_h2": dataclasses.asdict(id2),
         "isospectral": isospectral,
         "verdict": "isospectral" if isospectral else "not isospectral",
     }
@@ -251,6 +238,11 @@ def _parse_model(text, nmax):
 
 
 def cmd_heat(args):
+    if not (0 < args.t_lo < math.inf and 0 < args.t_hi < math.inf and args.t_num >= 1):
+        raise PreconditionError(
+            "--t-lo and --t-hi must be finite and positive and --t-num at least 1, "
+            f"got {args.t_lo}, {args.t_hi}, {args.t_num}"
+        )
     t_grid = np.geomspace(args.t_lo, args.t_hi, args.t_num)
     inputs = []
     for text in args.model or []:
@@ -284,10 +276,7 @@ def cmd_heat(args):
         else:
             curve = heatkit.heat_trace(spec, t_grid)
             entry["count"] = int(sum(m for _, m in spec))
-            entry["trace"] = {
-                "t": [round15(t) for t in t_grid],
-                "values": [round15(v) for v in curve.values],
-            }
+            entry["trace"] = {"t": t_grid, "values": curve.values}
         entries.append(entry)
     report = {"command": "heat", "inputs": entries}
     if args.audit:
@@ -391,6 +380,12 @@ _EXIT_CODES = (
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        for dest in ("tol", "cluster_tol", "trace_tol"):
+            value = getattr(args, dest, None)
+            if value is not None and not (0 <= value < math.inf):
+                raise PreconditionError(
+                    f"--{dest.replace('_', '-')} must be finite and non-negative, got {value}"
+                )
         return args.func(args)
     except SunadaLabError as exc:
         code = 1

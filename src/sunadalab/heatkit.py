@@ -105,8 +105,8 @@ def _factor(L, c, mult, nmax, t_grid):
 
 
 def _flat_model(model, lengths, nmax, what):
-    if any(L <= 0 for L in lengths):
-        raise PreconditionError(f"{what} must be positive")
+    if not all(0 < L < math.inf for L in lengths):
+        raise PreconditionError(f"{what} must be finite and positive")
     if nmax < 0:
         raise PreconditionError("nmax must be non-negative")
     lengths = tuple(float(L) for L in lengths)
@@ -502,6 +502,8 @@ def read_spectrum_json(fh, path=None):
                 path=path,
             )
         value, mult = float(item[0]), item[1]
+        if not math.isfinite(value):
+            raise ParseError(f"entry {i}: eigenvalue {value} is not finite", path=path)
         if mult < 1:
             raise ParseError(f"entry {i}: multiplicity must be >= 1", path=path)
         if value < last:

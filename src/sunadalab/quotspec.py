@@ -55,7 +55,12 @@ class WeightedGraph:
 
     n: int
     weights: np.ndarray
-    connected: bool
+
+    @cached_property
+    def connected(self):
+        """True iff every vertex is reachable from vertex 0 along positive
+        weights; found by one breadth-first search on first read."""
+        return self.n == 0 or bool(np.all(_hop_distances(self.weights, 0) >= 0))
 
     def edges(self):
         """Yield (u, v, w) with u < v over the positive-weight pairs."""
@@ -76,9 +81,7 @@ def weighted_graph(weights):
         raise PreconditionError("weight matrix must be exactly symmetric")
     if np.any(np.diagonal(w) != 0):
         raise PreconditionError("diagonal weights (self-loops) are not allowed")
-    n = w.shape[0]
-    connected = n == 0 or bool(np.all(_hop_distances(w, 0) >= 0))
-    return WeightedGraph(n=n, weights=w, connected=connected)
+    return WeightedGraph(n=w.shape[0], weights=w)
 
 
 def laplacian(graph):
@@ -110,11 +113,9 @@ class GSpace:
         return np.linalg.eigh(laplacian(self.graph))
 
     @cached_property
-    def _isotypic_cache(self):
-        """(character table, decomposition, counts) per key (id of the
-        character table's value array, cluster_tol), filled by
-        isotypic_multiplicities.  The IsotypicTable itself is not kept,
-        because it refers back to the space."""
+    def _eigenspace_cache(self):
+        """One eigenspace record per cluster_tol, filled by _eigenspaces:
+        plain data, with no reference to the space or a character table."""
         return {}
 
 
@@ -331,15 +332,14 @@ def cluster_eigenvalues(values, cluster_tol=None):
     values = np.sort(np.asarray(values, dtype=np.float64))
     if cluster_tol is None:
         cluster_tol = default_cluster_tol(values)
-    clusters = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > cluster_tol:
-            block = values[start:i]
-            clusters.append((float(block.mean()), len(block)))
-            start = i
+    if not 0 <= cluster_tol < np.inf:
+        raise PreconditionError(
+            f"cluster_tol must be finite and non-negative, got {cluster_tol}"
+        )
+    blocks = np.split(values, np.flatnonzero(np.diff(values) > cluster_tol) + 1)
+    clusters = tuple((float(b.mean()), len(b)) for b in blocks) if values.size else ()
     return SpectralDecomposition(
-        values=values, clusters=tuple(clusters), cluster_tol=float(cluster_tol)
+        values=values, clusters=clusters, cluster_tol=float(cluster_tol)
     )
 
 
@@ -450,58 +450,47 @@ class IsotypicTable:
     def supported_rows(self):
         return tuple(int(r) for r in np.nonzero(self.counts.any(axis=0))[0])
 
-    def cluster_rows(self, c):
-        return tuple(int(r) for r in np.nonzero(self.counts[c])[0])
-
 
 def _eigenspaces(space, cluster_tol):
-    """Clustered Laplacian spectrum and the first eigenvector column of
-    each cluster, both from the G-space's one eigendecomposition.  A
+    """The G-space's eigenspace record for ``cluster_tol``: the clustered
+    Laplacian spectrum, the first eigenvector column of each cluster
+    ("starts"), and the trace of each conjugacy-class representative on
+    each eigenspace (clusters x classes).  All three come from the one
+    eigendecomposition and are computed once per space and tolerance.  A
     per-eigenvector quantity x sums to its per-eigenspace value with
     ``np.add.reduceat(x, starts)``."""
-    decomp = cluster_eigenvalues(space.laplacian_eigh[0], cluster_tol)
-    mults = np.asarray(decomp.multiplicities(), dtype=np.intp)
-    return decomp, np.cumsum(mults) - mults
+    cache = space._eigenspace_cache
+    if cluster_tol not in cache:
+        values, vectors = space.laplacian_eigh
+        decomp = cluster_eigenvalues(values, cluster_tol)
+        mults = np.asarray(decomp.multiplicities(), dtype=np.intp)
+        starts = np.cumsum(mults) - mults
+        reps = conjugacy_classes(space.group).representatives
+        # <V[g v], V[v]> for each eigenvector; summed over a cluster it is
+        # the trace of g on the eigenspace, which is invariant, so a class
+        # function
+        diagonals = np.stack(
+            [np.einsum("vi,vi->i", vectors[space.vertex_perms[g]], vectors) for g in reps],
+            axis=1,
+        )
+        cache[cluster_tol] = (decomp, starts, np.add.reduceat(diagonals, starts, axis=0))
+    return cache[cluster_tol]
 
 
 def isotypic_multiplicities(space, ct=None, cluster_tol=None):
     """Decompose each eigenspace of the Laplacian into irreducibles.
 
-    Multiplicities are computed from the traces of one representative per
-    conjugacy class on each eigenspace and must come out as non-negative
-    integers within ``MULT_TOL``; each cluster's dimension must equal the
-    degree-weighted sum of its multiplicities.  The counts are computed
-    once per G-space, character table and ``cluster_tol``, and shared by
-    every later call.
+    The traces of one representative per conjugacy class on each
+    eigenspace are kept on the space, once per ``cluster_tol``; each call
+    pairs them with ``ct`` (default: the group's table), which is a
+    clusters x classes product.  Multiplicities must come out as
+    non-negative integers within ``MULT_TOL``, and each cluster's
+    dimension must equal the degree-weighted sum of its multiplicities.
     """
     if ct is None:
         ct = character_table(space.group)
-    # a table is known by its value array, shared by every CharacterTable
-    # the group's cache returns; the entry holds ct and so that array,
-    # whose id is not reused while the entry exists
-    key = (id(ct.table), cluster_tol)
-    if key not in space._isotypic_cache:
-        space._isotypic_cache[key] = (ct, *_isotypic_counts(space, ct, cluster_tol))
-    _, decomp, counts = space._isotypic_cache[key]
-    return IsotypicTable(
-        space=space, chartable=ct, decomposition=decomp, counts=counts
-    )
-
-
-def _isotypic_counts(space, ct, cluster_tol):
-    """Clustered spectrum and the read-only (cluster, irrep) count matrix."""
-    decomp, starts = _eigenspaces(space, cluster_tol)
-    vectors = space.laplacian_eigh[1]
-    # <V[g v], V[v]> for each eigenvector; summed over a cluster it is the
-    # trace of g on the eigenspace, which is invariant, so a class function
-    diagonals = np.stack(
-        [
-            np.einsum("vi,vi->i", vectors[space.vertex_perms[g]], vectors)
-            for g in conjugacy_classes(space.group).representatives
-        ],
-        axis=1,
-    )
-    counts = multiplicities(ct, np.add.reduceat(diagonals, starts, axis=0), MULT_TOL)
+    decomp, _, traces = _eigenspaces(space, cluster_tol)
+    counts = multiplicities(ct, traces, MULT_TOL)
     dims = counts @ np.asarray(ct.degrees)
     mults = decomp.multiplicities()
     bad = np.flatnonzero(dims != mults)
@@ -511,8 +500,9 @@ def _isotypic_counts(space, ct, cluster_tol):
             f"cluster {c}: isotypic dimensions sum to {dims[c]}, expected "
             f"{mults[c]}; clusters may be split too finely"
         )
-    counts.flags.writeable = False
-    return decomp, counts
+    return IsotypicTable(
+        space=space, chartable=ct, decomposition=decomp, counts=counts
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -594,10 +584,10 @@ def sunada_identity_check(space, H, K=None, ct=None, cluster_tol=None):
         K = subgroup_generate(G, [])
     if ct is None:
         ct = character_table(G)
-    table = isotypic_multiplicities(space, ct=ct, cluster_tol=cluster_tol)
+    counts = isotypic_multiplicities(space, ct=ct, cluster_tol=cluster_tol).counts
     k_rows = irreps_with_fixed_vectors(ct, K)
     rows = np.asarray(k_rows, dtype=np.intp)
-    outside = table.counts.any(axis=0)
+    outside = counts.any(axis=0)
     outside[rows] = False
     if outside.any():
         raise PreconditionError(
@@ -605,7 +595,7 @@ def sunada_identity_check(space, H, K=None, ct=None, cluster_tol=None):
             "fixed vector under the chosen K; the identity does not apply"
         )
     ind = np.asarray(induced_multiplicities(G, H, ct))
-    decomp, starts = _eigenspaces(space, table.decomposition.cluster_tol)
+    decomp, starts, _ = _eigenspaces(space, cluster_tol)
     # dim of the H-invariant part of E_c = trace(P_H P_c), the sum of
     # |B^T v|^2 over the eigenvectors v of the cluster
     coords = _orbit_basis(space, H).T @ space.laplacian_eigh[1]
@@ -617,7 +607,7 @@ def sunada_identity_check(space, H, K=None, ct=None, cluster_tol=None):
         raise NonIntegralError(
             f"cluster {c}: invariant dimension {raw[c]} is not an integer"
         )
-    rhs = table.counts[:, rows] @ ind[rows]
+    rhs = counts[:, rows] @ ind[rows]
     return SunadaIdentityReport(
         eigenvalues=decomp.cluster_values(),
         invariant_dims=tuple(lhs.tolist()),

@@ -325,3 +325,18 @@ def isotypic_counts(vectors, cluster_sizes, rep_perms, class_sizes, table, order
         counts.append(row)
         start += size
     return counts
+
+
+def cluster_eigenvalues(values, cluster_tol):
+    """(mean, size) of each run of the sorted ``values`` in which
+    neighbours are at most ``cluster_tol`` apart, found one eigenvalue at
+    a time.  The mean is sum / size, which matches a pairwise mean to the
+    last bit whenever every partial sum is exact."""
+    clusters = []
+    start = 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] - values[i - 1] > cluster_tol:
+            block = values[start:i]
+            clusters.append((sum(block) / len(block), len(block)))
+            start = i
+    return clusters

@@ -340,6 +340,59 @@ def test_heat_torus_lattice_guard(capsys):
     assert "nmax" in report["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--t-lo", "0"],
+        ["--t-lo=-1e-4"],
+        ["--t-hi", "inf"],
+        ["--t-lo", "nan"],
+        ["--t-num", "-1"],
+    ],
+)
+def test_heat_bad_time_grid(capsys, argv):
+    code, report = run_cli(["heat", "--model", "interval:1", *argv], capsys)
+    assert code == 3
+    assert report["error"]["type"] == "PreconditionError"
+
+
+@pytest.mark.parametrize("model", ["circle:nan", "circle:inf", "interval:-inf", "torus:1:nan"])
+def test_heat_non_finite_length(capsys, model):
+    code, report = run_cli(["heat", "--model", model], capsys)
+    assert code == 3
+    assert "finite and positive" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_heat_non_finite_spectrum_file(tmp_path, capsys, value):
+    path = tmp_path / "s.json"
+    path.write_text(f"[[0.0, 1], [{value}, 2]]\n")
+    code, report = run_cli(["heat", "--spectrum", str(path)], capsys)
+    assert code == 2
+    assert report["error"]["type"] == "ParseError"
+    assert "entry 1" in report["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sunada", AFF8, AFF8_H1, AFF8_H2, "--cluster-tol", "nan"],
+        ["sunada", AFF8, AFF8_H1, AFF8_H2, "--cluster-tol", "-1"],
+        ["sunada", AFF8, AFF8_H1, AFF8_H2, "--cluster-tol", "inf"],
+        ["sunada", AFF8, AFF8_H1, AFF8_H2, "--tol", "nan"],
+        ["sunada", AFF8, AFF8_H1, AFF8_H2, "--tol=-1e-9"],
+        ["heat", "--model", "interval:1", "--tol", "inf"],
+        ["heat", "--model", "interval:1", "--trace-tol", "nan"],
+        ["heat", "--model", "interval:1", "--trace-tol", "-1"],
+    ],
+)
+def test_bad_tolerance_exit_code(capsys, argv):
+    code, report = run_cli(argv, capsys)
+    assert code == 3
+    assert report["error"]["type"] == "PreconditionError"
+    assert "finite and non-negative" in report["error"]["message"]
+
+
 def test_heat_audit(capsys):
     argv = [
         "heat",

@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sunadalab as sl
@@ -77,6 +77,39 @@ def test_clustering_merges_repeats():
     assert decomp.multiplicities() == (1, 2, 1)
     tight = qs.cluster_eigenvalues([0.0, 1.0, 1.0 + 1e-12, 3.0], cluster_tol=1e-14)
     assert tight.multiplicities() == (1, 1, 1, 1)
+
+
+# Multiples of 1/8 in [-5, 5] with tolerances in {0, 1/8, ..., 1/2}: ties
+# and gaps of exactly cluster_tol are common, and every sum a cluster mean
+# takes is exact, so the oracle's mean must agree to the last bit.
+@settings(max_examples=300, deadline=None)
+@example(values=[], tol=0.0)
+@given(
+    st.lists(st.integers(-40, 40).map(lambda k: k / 8), max_size=40),
+    st.integers(0, 4).map(lambda k: k / 8),
+)
+def test_clustering_matches_loop_oracle(values, tol):
+    values = sorted(values)
+    decomp = qs.cluster_eigenvalues(values, cluster_tol=tol)
+    assert decomp.clusters == tuple(oracles.cluster_eigenvalues(values, tol))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(-1e3, 1e3), max_size=40),
+    st.floats(0.0, 1.0),
+)
+def test_clustering_boundaries_match_loop_oracle(values, tol):
+    # arbitrary floats: the same runs, with neighbour gaps computed alike
+    values = sorted(values)
+    sizes = qs.cluster_eigenvalues(values, cluster_tol=tol).multiplicities()
+    assert sizes == tuple(size for _, size in oracles.cluster_eigenvalues(values, tol))
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, -1e-300])
+def test_clustering_rejects_bad_tolerance(tol):
+    with pytest.raises(PreconditionError):
+        qs.cluster_eigenvalues([0.0, 1.0], cluster_tol=tol)
 
 
 # --- actions -----------------------------------------------------------------
@@ -354,14 +387,16 @@ def _oracle_counts(space, ct):
 @pytest.mark.parametrize("name", ["s3", "s4", "z4", "z6", "z8", "d4", "q8", "aff8"])
 def test_isotypic_counts_match_oracle(groups, name):
     G = groups[name]
-    ct = sl.character_table(G)
+    # the second table pairs with the class traces kept from the first
+    tables = [sl.character_table(G, seed=seed) for seed in (0, 1)]
     subs = sl.all_subgroups(G)
     for space in (
         qs.cayley_graph(G),
         qs.coset_gspace(G, [subs[len(subs) // 2], subs[-2]], weight_seed=5),
     ):
-        counts = qs.isotypic_multiplicities(space, ct=ct).counts
-        assert np.array_equal(counts, _oracle_counts(space, ct))
+        for ct in tables:
+            counts = qs.isotypic_multiplicities(space, ct=ct).counts
+            assert np.array_equal(counts, _oracle_counts(space, ct))
 
 
 def test_empty_gspace(z4):
@@ -463,22 +498,34 @@ def test_identity_holds_with_valid_k(s3):
 
 
 def test_isotypic_counts_computed_once_per_space(aff8_triple, monkeypatch):
+    # one clustering and one set of class traces per space and tolerance;
+    # each call pairs the kept traces with the character table it is given
     G, H1, H2 = aff8_triple
-    calls = []
-    compute = qs._isotypic_counts
-    monkeypatch.setattr(
-        qs, "_isotypic_counts", lambda *args: calls.append(args) or compute(*args)
-    )
     space = qs.cayley_graph(G)
+    clusterings = []
+    cluster = qs.cluster_eigenvalues
+
+    def counting_cluster(values, *args, **kwargs):
+        if np.array_equal(values, space.laplacian_eigh[0]):
+            clusterings.append(values)
+        return cluster(values, *args, **kwargs)
+
+    monkeypatch.setattr(qs, "cluster_eigenvalues", counting_cluster)
     assert qs.sunada_identity_check(space, H1).holds
     assert qs.sunada_identity_check(space, H2).holds
     assert qs.donnelly_support(space).law_holds
-    assert len(calls) == 1
+    assert len(clusterings) == 1
     table = qs.isotypic_multiplicities(space)
-    assert not table.counts.flags.writeable  # shared by every caller
     assert table.space is space
+    traces = space._eigenspace_cache[None][2]
+    other = sl.character_table(G, seed=1)
+    assert np.array_equal(qs.isotypic_multiplicities(space, ct=other).counts, table.counts)
+    assert len(clusterings) == 1
+    assert len(space._eigenspace_cache) == 1
+    assert space._eigenspace_cache[None][2] is traces  # no new traces
     qs.isotypic_multiplicities(space, cluster_tol=1e-6)
-    assert len(calls) == 2  # another tolerance is another table
+    assert len(clusterings) == 2
+    assert len(space._eigenspace_cache) == 2  # another tolerance, another record
 
 
 def _use_every_cache():
