@@ -23,7 +23,6 @@ from .permgrp import (
     ConjugacyClassPartition,
     PermutationGroup,
     _check_subgroup,
-    _class_data,
     class_intersection_counts,
     conjugacy_classes,
 )
@@ -70,16 +69,16 @@ def structure_constants(G):
 def character_table(G, seed=0, tol=ORTHOGONALITY_TOL, max_attempts=8):
     """Character table of G, deterministic for a fixed seed.
 
-    Raises EigenDecompositionError if no random class-matrix combination
+    Each table is kept on the group under its ``(seed, tol)``, so a
+    later call with the same pair does no eigendecomposition.  Raises
+    EigenDecompositionError if no random class-matrix combination
     produces a verified table within ``max_attempts`` draws.
     """
-    cached = getattr(G, "_chartab_cache", None)
-    if cached is not None and cached[0] == (seed, tol):
-        _, table, degrees = cached
-        return CharacterTable(
-            group=G, partition=conjugacy_classes(G), table=table, degrees=degrees
-        )
     cc = conjugacy_classes(G)
+    cached = G._character_tables.get((seed, tol))
+    if cached is not None:
+        table, degrees = cached
+        return CharacterTable(group=G, partition=cc, table=table, degrees=degrees)
     a = structure_constants(G)
     sizes = np.asarray(cc.class_sizes, dtype=np.float64)
     k = cc.num_classes
@@ -94,7 +93,7 @@ def character_table(G, seed=0, tol=ORTHOGONALITY_TOL, max_attempts=8):
         except (NonIntegralError, EigenDecompositionError) as exc:
             last_error = exc
             continue
-        G._chartab_cache = ((seed, tol), ct.table, ct.degrees)
+        G._character_tables[seed, tol] = (ct.table, ct.degrees)
         return ct
     raise EigenDecompositionError(
         f"no valid character table after {max_attempts} attempts: {last_error}"
@@ -181,7 +180,7 @@ def permutation_character(G, H):
     |H| times, so the count is |G| c_t / (|H| n_t): k integer operations
     on the class counts, exact, with no coset space."""
     _check_subgroup(G, H)
-    _, _, sizes = _class_data(G)
+    _, _, sizes = G.class_data
     counts = class_intersection_counts(G, H)
     return tuple(G.order * c // (H.order * n) for c, n in zip(counts, sizes))
 

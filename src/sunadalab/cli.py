@@ -63,7 +63,12 @@ def round15(x):
 
 
 def _normalize(obj):
-    """Make a report JSON-ready: plain types only, floats at 15 digits."""
+    """Make a report JSON-ready: plain types only, floats at 15 digits.
+
+    A report dataclass becomes an object keyed by its field names; this
+    is the one place where a report's JSON shape is decided."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _normalize(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _normalize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -138,7 +143,7 @@ def cmd_gassmann(args):
         if args.h1 or args.h2:
             raise PreconditionError("--search replaces the subgroup files")
         pairs = gassmann.gassmann_search(G, args.search, budget=args.budget)
-        reports = [gassmann.triple_report(G, h1, h2, ct=ct).to_json_dict() for h1, h2 in pairs]
+        reports = [gassmann.triple_report(G, h1, h2, ct=ct) for h1, h2 in pairs]
         report = {
             "command": "gassmann",
             "group_file": args.group,
@@ -153,7 +158,7 @@ def cmd_gassmann(args):
         raise PreconditionError("need two subgroup files or --search m")
     H1 = load_subgroup_file(args.h1, G)
     H2 = load_subgroup_file(args.h2, G)
-    _emit(gassmann.triple_report(G, H1, H2, ct=ct).to_json_dict(), args.out)
+    _emit(gassmann.triple_report(G, H1, H2, ct=ct), args.out)
     return 0
 
 
@@ -199,14 +204,14 @@ def cmd_sunada(args):
         "command": "sunada",
         "group_file": args.group,
         "group_order": G.order,
-        "triple": triple.to_json_dict(),
+        "triple": triple,
         "k_order": K.order,
         "k_equivalent": gassmann.k_equivalent(G, H1, H2, K, ct=ct),
         "spectrum_h1": s1.pairs(),
         "spectrum_h2": s2.pairs(),
         "max_gap": gap if math.isfinite(gap) else "infinite",
-        "identity_h1": dataclasses.asdict(id1),
-        "identity_h2": dataclasses.asdict(id2),
+        "identity_h1": id1,
+        "identity_h2": id2,
         "isospectral": isospectral,
         "verdict": "isospectral" if isospectral else "not isospectral",
     }
@@ -214,27 +219,32 @@ def cmd_sunada(args):
     return 0
 
 
+# model kind -> (dimension, default nmax, constructor from lengths and nmax)
+_MODELS = {
+    "circle": (1, 20000, heatkit.circle_spectrum),
+    "interval": (1, 20000, heatkit.interval_neumann_spectrum),
+    "torus": (2, 700, heatkit.rect_torus_spectrum),
+}
+
+
 def _parse_model(text, nmax):
-    parts = text.split(":")
-    kind = parts[0]
+    """A flat model from ``kind:L...``.  Its factor arrays, and its lattice
+    when one is built, hold up to (nmax+1)**dim entries, so a model past
+    MAX_DENSE_ENTRIES is refused."""
+    kind, *parts = text.split(":")
     try:
-        params = [float(p) for p in parts[1:]]
+        params = [float(p) for p in parts]
     except ValueError as exc:
         raise ParseError(f"bad model parameter in {text!r}") from exc
-    if kind == "circle" and len(params) == 1:
-        return heatkit.circle_spectrum(params[0], 20000 if nmax is None else nmax)
-    if kind == "interval" and len(params) == 1:
-        return heatkit.interval_neumann_spectrum(params[0], 20000 if nmax is None else nmax)
-    if kind == "torus" and len(params) == 2:
-        n = 700 if nmax is None else nmax
-        if (n + 1) ** 2 > MAX_DENSE_ENTRIES:
-            raise PreconditionError(
-                f"torus lattice at nmax={n} is too large; lower --nmax"
-            )
-        return heatkit.rect_torus_spectrum(params[0], params[1], n)
-    raise ParseError(
-        f"bad model {text!r}: expected circle:L, interval:L, or torus:a:b"
-    )
+    if kind not in _MODELS or len(params) != _MODELS[kind][0]:
+        raise ParseError(
+            f"bad model {text!r}: expected circle:L, interval:L, or torus:a:b"
+        )
+    dim, default_nmax, build = _MODELS[kind]
+    n = default_nmax if nmax is None else nmax
+    if (n + 1) ** dim > MAX_DENSE_ENTRIES:
+        raise PreconditionError(f"{kind} model at nmax={n} is too large; lower --nmax")
+    return build(*params, n)
 
 
 def cmd_heat(args):
@@ -264,7 +274,7 @@ def cmd_heat(args):
             entry["volume"] = spec.volume
             if spec.dim == 1:
                 ind = heatkit.constant_term_estimate(spec, t_grid)
-                entry["indicator"] = ind.to_json_dict()
+                entry["indicator"] = ind
             else:
                 curve = heatkit.heat_trace(spec, [args.t_lo])
                 est = float(curve.values[0] * (4.0 * np.pi * args.t_lo) ** (spec.dim / 2.0))
@@ -289,7 +299,7 @@ def cmd_heat(args):
         audit = heatkit.singularity_audibility_report(
             o1, o2, m1, m2, d1, d2, tol=args.tol
         )
-        report["audibility"] = audit.to_json_dict()
+        report["audibility"] = audit
     _emit(report, args.out)
     return 0
 

@@ -45,17 +45,6 @@ class TripleReport:
     conjugate: bool
     perm_char: tuple
 
-    def to_json_dict(self):
-        return {
-            "group_order": self.group_order,
-            "subgroup_order": self.subgroup_order,
-            "class_counts_h1": list(self.class_counts_h1),
-            "class_counts_h2": list(self.class_counts_h2),
-            "almost_conjugate": self.almost_conjugate,
-            "conjugate": self.conjugate,
-            "perm_char": list(self.perm_char),
-        }
-
 
 def almost_conjugate(G, H1, H2):
     """True iff each class of G meets H1 and H2 in equally many elements."""

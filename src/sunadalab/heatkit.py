@@ -228,16 +228,6 @@ class SingularityIndicator:
     residual: float
     tail_bound_max: float
 
-    def to_json_dict(self):
-        return {
-            "leading": self.leading,
-            "constant": self.constant,
-            "verdict": self.verdict,
-            "tail_bound_max": self.tail_bound_max,
-            "threshold": self.threshold,
-            "residual": self.residual,
-        }
-
 
 def default_detector_grid(t_lo=DETECTOR_T_LO, t_hi=DETECTOR_T_HI, num=33):
     return np.geomspace(t_lo, t_hi, num)
@@ -304,9 +294,10 @@ class AudibilityReport:
     volume.  When the premises hold, equal volumes force equal sheet
     counts and the singularity verdicts of the quotients must agree; a
     failed premise is reported as a diagnostic instead of a verdict.
+    ``premises`` maps each premise's name to whether it holds.
     """
 
-    premises: tuple
+    premises: dict
     diagnostics: tuple
     indicator_1: SingularityIndicator | None
     indicator_2: SingularityIndicator | None
@@ -316,17 +307,6 @@ class AudibilityReport:
 
     def __bool__(self):
         return self.consistent
-
-    def to_json_dict(self):
-        return {
-            "premises": {name: ok for name, ok in self.premises},
-            "diagnostics": list(self.diagnostics),
-            "indicator_1": None if self.indicator_1 is None else self.indicator_1.to_json_dict(),
-            "indicator_2": None if self.indicator_2 is None else self.indicator_2.to_json_dict(),
-            "degrees": list(self.degrees),
-            "singular_agree": self.singular_agree,
-            "consistent": self.consistent,
-        }
 
 
 def _volume_of(spec):
@@ -393,10 +373,10 @@ def singularity_audibility_report(
     if d1 < 1 or d2 < 1:
         raise PreconditionError("sheet counts must be positive integers")
     diagnostics = []
-    premises = []
+    premises = {}
 
     covers_iso = spectra_close(spec_m1, spec_m2, tol)
-    premises.append(("covers_isospectral", covers_iso))
+    premises["covers_isospectral"] = covers_iso
     if not covers_iso:
         diagnostics.append(
             "the covers are not isospectral at the stated tolerance, so the "
@@ -404,7 +384,7 @@ def singularity_audibility_report(
         )
 
     quots_iso = spectra_close(spec_o1, spec_o2, tol)
-    premises.append(("quotients_isospectral", quots_iso))
+    premises["quotients_isospectral"] = quots_iso
     if not quots_iso:
         diagnostics.append(
             "the quotient spectra differ, so no common heat expansion exists "
@@ -415,7 +395,7 @@ def singularity_audibility_report(
     vol_m1, vol_m2 = _volume_of(spec_m1), _volume_of(spec_m2)
     rel = lambda x, y: abs(x - y) <= vol_rel_tol * max(abs(x), abs(y), 1.0)
     towers_ok = rel(vol_m1, d1 * vol_o1) and rel(vol_m2, d2 * vol_o2)
-    premises.append(("volume_towers", towers_ok))
+    premises["volume_towers"] = towers_ok
     if not towers_ok:
         diagnostics.append(
             f"volumes do not match the claimed sheet counts: "
@@ -423,7 +403,7 @@ def singularity_audibility_report(
         )
 
     degrees_equal = d1 == d2
-    premises.append(("degrees_equal", degrees_equal))
+    premises["degrees_equal"] = degrees_equal
     if covers_iso and quots_iso and towers_ok and not degrees_equal:
         diagnostics.append(
             "equal volumes on both floors force equal sheet counts, but "
@@ -456,7 +436,7 @@ def singularity_audibility_report(
     premises_ok = covers_iso and quots_iso and towers_ok and degrees_equal
     consistent = premises_ok and singular_agree is not False
     return AudibilityReport(
-        premises=tuple(premises),
+        premises=premises,
         diagnostics=tuple(diagnostics),
         indicator_1=indicator_1,
         indicator_2=indicator_2,
@@ -494,8 +474,9 @@ def read_spectrum_json(fh, path=None):
         if (
             not isinstance(item, list)
             or len(item) != 2
-            or not isinstance(item[0], (int, float))
-            or not isinstance(item[1], int)
+            # exact types: a JSON true or false is a bool, an int subclass
+            or type(item[0]) not in (int, float)
+            or type(item[1]) is not int
         ):
             raise ParseError(
                 f"entry {i} must be [eigenvalue, multiplicity], got {item!r}",

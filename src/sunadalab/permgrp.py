@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -156,8 +157,8 @@ class PermutationGroup:
     """All elements of a finite permutation group, in canonical order.
 
     ``elements[0]`` is the identity.  ``table[i, j]`` indexes the
-    composition ``elements[i] * elements[j]``; it and the inverse array
-    are built lazily on first use.
+    composition ``elements[i] * elements[j]``; it, the inverse array and
+    the class data are built on first use and then kept.
 
     Whatever is cached on the group is plain data (arrays, tuples and
     dicts of them), never an object that refers back to the group, so a
@@ -172,9 +173,6 @@ class PermutationGroup:
         # every row is a product of validated generators
         self.elements = [Permutation._trusted(row) for row in images.tolist()]
         self._index = {row.tobytes(): i for i, row in enumerate(images)}
-        self._table = None
-        self._inv = None
-        self._classes = None
         self._all_subgroups = None
         # element tuple of each subgroup whose class is known -> its least
         # conjugate; classes are entered whole, and the trivial subgroup
@@ -183,20 +181,27 @@ class PermutationGroup:
         # element tuple of each subgroup -> its number of elements in each
         # conjugacy class, the one fact every character query reads
         self._class_counts = {}
+        # (seed, tol) -> (table, degrees) of each character table that
+        # ``chartab.character_table`` has computed for the group
+        self._character_tables = {}
 
-    @property
+    @cached_property
     def table(self):
-        if self._table is None:
-            gens = [self.index_of(g) for g in self.generators]
-            self._table = _kernels.mul_table(self._images, gens, self._index)
-        return self._table
+        gens = [self.index_of(g) for g in self.generators]
+        return _kernels.mul_table(self._images, gens, self._index)
 
-    @property
+    @cached_property
     def inverses(self):
-        if self._inv is None:
-            # row i of the table holds the identity 0 exactly at column inv(i)
-            self._inv = np.argmin(self.table, axis=1)
-        return self._inv
+        # row i of the table holds the identity 0 exactly at column inv(i)
+        return np.argmin(self.table, axis=1)
+
+    @cached_property
+    def class_data(self):
+        """The tuple (class_of, representatives, class_sizes) of the
+        conjugacy classes; the representative of each class is its least
+        element."""
+        class_of, reps = _kernels.conjugacy_partition(self.table, self.inverses)
+        return class_of, tuple(reps), tuple(np.bincount(class_of).tolist())
 
     def index_of(self, perm):
         key = np.asarray(perm.images, dtype=np.int32).tobytes()
@@ -323,23 +328,12 @@ def generate_group(degree, generators, max_order=DEFAULT_MAX_ORDER):
     return PermutationGroup(degree, generators, images)
 
 
-def _class_data(G):
-    """The class data of G, computed once and cached on the group: the
-    tuple (class_of, representatives, class_sizes), where the
-    representative of each class is its least element."""
-    if G._classes is None:
-        class_of, reps = _kernels.conjugacy_partition(G.table, G.inverses)
-        sizes = tuple(np.bincount(class_of).tolist())
-        G._classes = (class_of, tuple(reps), sizes)
-    return G._classes
-
-
 def class_intersection_counts(G, H):
     """Number of elements of H inside each conjugacy class of G, counted
     once per subgroup of G and kept on G, keyed by its element tuple."""
     counts = G._class_counts.get(H.elements)
     if counts is None:
-        class_of, _, sizes = _class_data(G)
+        class_of, _, sizes = G.class_data
         hits = np.bincount(class_of[H.indices()], minlength=len(sizes))
         counts = G._class_counts[H.elements] = tuple(hits.tolist())
     return counts
@@ -347,7 +341,7 @@ def class_intersection_counts(G, H):
 
 def conjugacy_classes(G):
     """Partition of G by g ~ x g x^{-1}; its data is cached on the group."""
-    class_of, reps, sizes = _class_data(G)
+    class_of, reps, sizes = G.class_data
     return ConjugacyClassPartition(
         group=G, class_of=class_of, representatives=reps, class_sizes=sizes
     )

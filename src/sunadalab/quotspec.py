@@ -19,7 +19,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _kernels
 from .chartab import (
     CharacterTable,
     character_table,
@@ -739,28 +738,15 @@ def fundamental_domain(space, H=None, base_vertex=0):
     )
 
 
-def cover_degree(space, H=None, t=1e-8):
+def cover_degree(space, H=None):
     """Number of sheets of the covering onto the quotient of a free action.
 
-    Each orbit of a free action has |H| vertices, so the count is |H|,
-    cross-checked against the heat traces of the total space and the
-    quotient graph at small time, whose ratio must approach it.
+    A free action has trivial stabilizers, so by orbit-stabilizer every
+    orbit has |H| vertices and the count is exactly |H|.
     """
     if not is_free(space, H):
         raise NonFreeActionError("sheet counting needs a free action")
-    degree = space.group.order if H is None else H.order
-    quot = quotient_graph(space, H)
-    t_grid = np.asarray([t], dtype=np.float64)
-    top = _kernels.heat_sum(space.laplacian_eigh[0], np.ones(space.n), t_grid)[0]
-    bottom = _kernels.heat_sum(
-        np.linalg.eigvalsh(laplacian(quot)), np.ones(quot.n), t_grid
-    )[0]
-    if abs(top - degree * bottom) > 1e-6 * space.n:
-        raise NumericalError(
-            f"heat traces disagree with sheet count {degree}: "
-            f"{top} vs {degree} * {bottom}"
-        )
-    return degree
+    return space.group.order if H is None else H.order
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,7 @@ def test_criterion_9_dirichlet_cells(aff8_triple, announce):
             image = {int(perms[h][v]) for v in cell}
             ok = ok and image == cell_at[int(perms[h][c])]
 
-    degree = qs.cover_degree(space, h1)  # internally cross-checked at t -> 0
+    degree = qs.cover_degree(space, h1)  # |H| for a free action, by orbit-stabilizer
     ok = ok and degree == 4
     announce(
         9,

@@ -66,9 +66,21 @@ def test_trivial_character_is_row_zero(groups):
 
 def test_table_deterministic(d4):
     a = ch.character_table(d4)
-    d4._chartab_cache = None
+    d4._character_tables.clear()
     b = ch.character_table(d4)
     assert np.array_equal(a.table, b.table)
+
+
+def test_tables_cached_per_seed(monkeypatch):
+    # alternating seeds reuse the table each seed built
+    G = sl.load_bundled_group("aff8")
+    builds = []
+    build = ch.structure_constants
+    monkeypatch.setattr(ch, "structure_constants", lambda G: builds.append(G) or build(G))
+    tables = [ch.character_table(G, seed=seed) for seed in (0, 1, 0, 1)]
+    assert len(builds) == 2
+    assert np.array_equal(tables[0].table, tables[2].table)
+    assert np.array_equal(tables[1].table, tables[3].table)
 
 
 def test_aff8_degrees(aff8):

@@ -340,6 +340,16 @@ def test_heat_torus_lattice_guard(capsys):
     assert "nmax" in report["error"]["message"]
 
 
+def test_heat_circle_guard(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_DENSE_ENTRIES", 100)
+    code, report = run_cli(["heat", "--model", "circle:1", "--nmax", "100"], capsys)
+    assert code == 3
+    assert report["error"]["type"] == "PreconditionError"
+    assert "lower --nmax" in report["error"]["message"]
+    code, report = run_cli(["heat", "--model", "circle:1", "--nmax", "99"], capsys)
+    assert code == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -371,6 +381,16 @@ def test_heat_non_finite_spectrum_file(tmp_path, capsys, value):
     assert code == 2
     assert report["error"]["type"] == "ParseError"
     assert "entry 1" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("text", ["[[0.0, true], [1.0, 2]]", "[[false, 1], [1.0, 2]]"])
+def test_heat_boolean_spectrum_file(tmp_path, capsys, text):
+    path = tmp_path / "s.json"
+    path.write_text(text + "\n")
+    code, report = run_cli(["heat", "--spectrum", str(path)], capsys)
+    assert code == 2
+    assert report["error"]["type"] == "ParseError"
+    assert "entry 0" in report["error"]["message"]
 
 
 @pytest.mark.parametrize(
@@ -411,6 +431,18 @@ def test_heat_audit(capsys):
     assert audit["singular_agree"] is True
     assert audit["indicator_1"]["verdict"] == "singular"
     assert audit["indicator_2"]["verdict"] == "singular"
+    # the flat tori have no singularity indicator
+    argv = ["heat", "--nmax", "60", "--audit", "2", "2"]
+    for lengths in ("1:1.5", "1:1.5", "2:1.5", "2:1.5"):
+        argv += ["--model", "torus:" + lengths]
+    code, report = run_cli(argv, capsys)
+    assert code == 0
+    audit = report["audibility"]
+    assert audit["indicator_1"] is None
+    assert audit["indicator_2"] is None
+    assert set(audit["premises"]) == {
+        "covers_isospectral", "quotients_isospectral", "volume_towers", "degrees_equal"
+    }
 
 
 def test_heat_audit_needs_four_inputs(capsys):

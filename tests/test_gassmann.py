@@ -6,6 +6,7 @@ import oracles
 import sunadalab as sl
 from sunadalab import chartab
 from sunadalab import gassmann as gs
+from sunadalab.cli import _normalize
 from sunadalab.errors import BudgetExceededError, PreconditionError
 from sunadalab.permgrp import conjugate_by_all
 
@@ -65,7 +66,7 @@ def test_k_equivalence_weakens(s3):
 def test_triple_report_schema(aff8_triple):
     G, h1, h2 = aff8_triple
     rep = gs.triple_report(G, h1, h2)
-    d = rep.to_json_dict()
+    d = _normalize(rep)
     assert set(d) == {
         "group_order",
         "subgroup_order",

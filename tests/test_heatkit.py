@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sunadalab import _kernels
 from sunadalab import heatkit as hk
+from sunadalab.cli import _normalize
 from sunadalab.errors import ParseError, PreconditionError, TailBoundError
 
 import oracles
@@ -254,7 +255,7 @@ def test_detector_rejects_torus():
 
 def test_indicator_json_keys():
     ind = hk.constant_term_estimate(hk.interval_neumann_spectrum(np.pi, 20000))
-    d = ind.to_json_dict()
+    d = _normalize(ind)
     for key in ("leading", "constant", "verdict", "tail_bound_max"):
         assert key in d
     assert d["verdict"] == "singular"
