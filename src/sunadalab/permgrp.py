@@ -157,8 +157,9 @@ class PermutationGroup:
     """All elements of a finite permutation group, in canonical order.
 
     ``elements[0]`` is the identity.  ``table[i, j]`` indexes the
-    composition ``elements[i] * elements[j]``; it, the inverse array and
-    the class data are built on first use and then kept.
+    composition ``elements[i] * elements[j]``, an int32 array that is
+    read-only so that it can be shared; it, the inverse array and the
+    class data are built on first use and then kept.
 
     Whatever is cached on the group is plain data (arrays, tuples and
     dicts of them), never an object that refers back to the group, so a
@@ -188,7 +189,9 @@ class PermutationGroup:
     @cached_property
     def table(self):
         gens = [self.index_of(g) for g in self.generators]
-        return _kernels.mul_table(self._images, gens, self._index)
+        table = _kernels.mul_table(self._images, gens, self._index)
+        table.flags.writeable = False
+        return table
 
     @cached_property
     def inverses(self):
@@ -448,9 +451,9 @@ def are_conjugate_subgroups(G, H1, H2):
 def _enumerate_subgroups(G, record, grow, budget, limit):
     """DFS over the subgroup lattice, one representative per conjugacy class.
 
-    Returns the sorted subgroups whose order passes ``record`` and, for
-    each, the id of its conjugacy class in G; ids count the classes in
-    order of their first member.
+    Returns the sorted subgroups whose order passes ``record``, for
+    each, the id of its conjugacy class in G (ids count the classes in
+    order of their first member), and the number of closures spent.
 
     Each representative H whose order passes ``grow`` is extended to
     <H, g> for one g in every right coset Hg other than H itself, which
@@ -504,10 +507,7 @@ def _enumerate_subgroups(G, record, grow, budget, limit):
             conjugates_of_g = table[normalizer, table[g, normalizer_inv]]
             covered[table[current[:, None], conjugates_of_g]] = True
             closures += 1
-            if closures > budget:
-                raise BudgetExceededError(
-                    f"subgroup enumeration exceeded budget of {budget} closures"
-                )
+            _check_budget(closures, budget)
             grown = tuple(_kernels.closure(table, gens + [g], current, limit).tolist())
             if not grown or grown in known:  # empty: outgrew the limit
                 continue
@@ -520,7 +520,7 @@ def _enumerate_subgroups(G, record, grow, budget, limit):
     members = sorted((e, c) for c, conjugates in enumerate(classes) for e in conjugates)
     first_seen = {}
     class_ids = [first_seen.setdefault(c, len(first_seen)) for _, c in members]
-    return [Subgroup(parent=G, elements=e) for e, _ in members], class_ids
+    return [Subgroup(parent=G, elements=e) for e, _ in members], class_ids, closures
 
 
 def subgroup_classes_of_order(G, m, budget=DEFAULT_SUBGROUP_BUDGET):
@@ -538,7 +538,7 @@ def subgroup_classes_of_order(G, m, budget=DEFAULT_SUBGROUP_BUDGET):
         return [], []
     return _enumerate_subgroups(
         G, lambda n: n == m, lambda n: n < m and m % n == 0, budget, m
-    )
+    )[:2]
 
 
 def subgroups_of_order(G, m, budget=DEFAULT_SUBGROUP_BUDGET):
@@ -547,13 +547,24 @@ def subgroups_of_order(G, m, budget=DEFAULT_SUBGROUP_BUDGET):
 
 
 def all_subgroups(G, budget=DEFAULT_SUBGROUP_BUDGET):
-    """Every subgroup of G, deterministic order; their element tuples are
-    cached on the group."""
+    """Every subgroup of G, deterministic order.  Their element tuples are
+    cached on the group with the number of closures the enumeration
+    spent, so a later call with a smaller budget still raises."""
     if G._all_subgroups is None:
-        G._all_subgroups = [H.elements for H in _enumerate_subgroups(
+        subgroups, _, closures = _enumerate_subgroups(
             G, lambda n: True, lambda n: True, budget, G.order
-        )[0]]
-    return [Subgroup(parent=G, elements=e) for e in G._all_subgroups]
+        )
+        G._all_subgroups = closures, [H.elements for H in subgroups]
+    closures, elements = G._all_subgroups
+    _check_budget(closures, budget)
+    return [Subgroup(parent=G, elements=e) for e in elements]
+
+
+def _check_budget(closures, budget):
+    if closures > budget:
+        raise BudgetExceededError(
+            f"subgroup enumeration exceeded budget of {budget} closures"
+        )
 
 
 def _check_subgroup(G, H):

@@ -84,9 +84,12 @@ def weighted_graph(weights):
 
 
 def laplacian(graph):
-    """Combinatorial Laplacian L = D - W."""
+    """Combinatorial Laplacian L = D - W, in one n x n allocation and
+    bit for bit equal to ``np.diag(W.sum(axis=1)) - W``."""
     w = graph.weights
-    return np.diag(w.sum(axis=1)) - w
+    lap = 0.0 - w
+    np.fill_diagonal(lap, w.sum(axis=1))  # the diagonal of W is zero
+    return lap
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +97,9 @@ class GSpace:
     """A weighted graph with a weight-preserving group action.
 
     ``vertex_perms[g, v]`` is the image of vertex v under group element
-    g (indexed as in the group's canonical element order).
+    g (indexed as in the group's canonical element order).  It is a
+    read-only int32 array; a Cayley graph's action is the group's own
+    ``G.table``, shared rather than copied.
     """
 
     group: PermutationGroup
@@ -129,15 +134,21 @@ def gspace(G, graph, vertex_perms):
     rho(g) is then a product of generator permutations, so it preserves
     the weights when the generators do.
     """
-    perms = np.asarray(vertex_perms, dtype=np.int64)
+    perms = np.asarray(vertex_perms)
+    if perms.dtype.kind not in "iu":
+        raise PreconditionError(f"action table must hold integers, got {perms.dtype}")
     if perms.shape != (G.order, graph.n):
         raise PreconditionError(
             f"action table has shape {perms.shape}, expected {(G.order, graph.n)}"
         )
     ident = np.arange(graph.n)
+    # checked before the cast to int32, which could wrap a bad row into a permutation
     not_perm = np.flatnonzero((np.sort(perms, axis=1) != ident).any(axis=1))
     if not_perm.size:
         raise PreconditionError(f"row {not_perm[0]} of the action is not a permutation")
+    # a read-only view, so that the caller's own array keeps its flags
+    perms = perms.astype(np.int32, copy=False).view()
+    perms.flags.writeable = False
     if not np.array_equal(perms[0], ident):
         raise PreconditionError("identity element must act as the identity")
     table = G.table
@@ -164,7 +175,7 @@ def gspace_from_generator_images(G, graph, images):
             f"expected {len(G.generators)}"
         )
     n = graph.n
-    perms = np.full((G.order, n), -1, dtype=np.int64)
+    perms = np.full((G.order, n), -1, dtype=np.int32)
     perms[0] = np.arange(n)
     gen_rows = []
     for gen, img in zip(G.generators, images):
@@ -223,7 +234,8 @@ def cayley_graph(G, gen_indices=None, weights=None):
         targets = G.table[:, s]
         w[np.arange(n), targets] = weights[s]
     graph = weighted_graph(w)
-    return gspace(G, graph, np.asarray(G.table, dtype=np.int64))
+    del w  # weighted_graph keeps its own copy
+    return gspace(G, graph, G.table)
 
 
 def coset_gspace(G, subgroups, weight_seed=0):
@@ -234,7 +246,7 @@ def coset_gspace(G, subgroups, weight_seed=0):
     """
     spaces = [coset_space(G, H) for H in subgroups]
     n = sum(cs.num_cosets for cs in spaces)
-    perms = np.zeros((G.order, n), dtype=np.int64)
+    perms = np.zeros((G.order, n), dtype=np.int32)
     offset = 0
     for cs in spaces:
         perms[:, offset : offset + cs.num_cosets] = cs.action + offset
@@ -266,7 +278,8 @@ def _pair_orbits(perms, n):
     scan of the pairs first reaches them.
     """
     code = np.full((n, n), n * n, dtype=np.int64)
-    for p in np.asarray(perms, dtype=np.int64):
+    for p in np.asarray(perms):
+        p = p.astype(np.int64)  # codes reach n * n; cast one row at a time
         np.minimum(code, p[:, None] * n + p[None, :], out=code)
     code = np.minimum(code, code.T)
     np.fill_diagonal(code, n * n)  # no off-diagonal pair has this label
@@ -361,9 +374,10 @@ def invariant_spectrum(space, H=None, cluster_tol=None):
 
     This is the quotient spectrum for any action, free or not.
     """
-    proj = averaging_projector(space, H)
-    evals, evecs = np.linalg.eigh(proj)
+    # the projector and its eigenvectors are freed before the Laplacian is made
+    evals, evecs = np.linalg.eigh(averaging_projector(space, H))
     basis = evecs[:, evals > 0.5]
+    del evecs
     lap = laplacian(space.graph)
     reduced = basis.T @ lap @ basis
     reduced = (reduced + reduced.T) / 2.0

@@ -289,6 +289,16 @@ def test_budget_is_exact(make, search, closures, count):
     with pytest.raises(BudgetExceededError):
         search(G, closures - 1)
     assert len(search(G, closures)) == count
+    with pytest.raises(BudgetExceededError):  # also once a result is cached
+        search(G, closures - 1)
+
+
+def test_cached_subgroups_still_honour_the_budget():
+    G = sl.load_bundled_group("s4")
+    assert len(sl.all_subgroups(G)) == 30
+    with pytest.raises(BudgetExceededError):
+        sl.all_subgroups(G, budget=1)
+    assert len(sl.all_subgroups(G)) == 30
 
 
 def _check_lattice_by_order(G, count):

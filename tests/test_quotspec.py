@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -149,6 +150,66 @@ def test_cayley_rejects_unweighted_connection(s3, weights, missing):
     with pytest.raises(PreconditionError, match=f"connection element {missing} "):
         qs.cayley_graph(s3, [2, 3], weights)
     assert weights == given
+
+
+def test_gspace_rejects_non_integer_table(z4):
+    graph = qs.cayley_graph(z4).graph
+    with pytest.raises(PreconditionError, match="integers"):
+        qs.gspace(z4, graph, z4.table + 0.4)
+
+
+def test_gspace_checks_range_before_narrowing(z4):
+    graph = qs.cayley_graph(z4).graph
+    wrapped = z4.table.astype(np.int64) + 2**32
+    # the cast to int32 alone would turn this table into a valid one
+    assert np.array_equal(wrapped.astype(np.int32), z4.table)
+    with pytest.raises(PreconditionError, match="not a permutation"):
+        qs.gspace(z4, graph, wrapped)
+
+
+def test_cayley_action_is_the_read_only_group_table(s4):
+    space = qs.cayley_graph(s4)
+    assert space.vertex_perms.dtype == np.int32
+    assert np.shares_memory(space.vertex_perms, s4.table)
+    for table in (space.vertex_perms, s4.table):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
+def test_laplacian_is_d_minus_w_bit_for_bit(s4):
+    subs = sl.all_subgroups(s4)
+    space = qs.coset_gspace(s4, [subs[0], subs[len(subs) // 2]], weight_seed=3)
+    w = space.graph.weights
+    assert np.any(w == 0) and np.any(w > 0)
+    lap = qs.laplacian(space.graph)
+    assert lap.tobytes() == (np.diag(w.sum(1)) - w).tobytes()
+    assert not np.signbit(lap[lap == 0]).any()
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_s5_cayley_footprint():
+    # traced peaks in units of one n x n float64 array; the bounds allow
+    # the arrays each step needs and fail if a spare copy comes back
+    G = sl.generate_group(
+        5, [sl.parse_cycles("(0 1 2 3 4)", 5), sl.parse_cycles("(0 1)", 5)]
+    )
+    G.table  # the group's own table is not part of the measurement
+    unit = G.order**2 * 8
+    space = qs.cayley_graph(G)
+    assert _peak_bytes(lambda: qs.cayley_graph(G)) < 3.5 * unit
+    assert _peak_bytes(lambda: qs.laplacian(space.graph)) < 1.25 * unit
+    klein = sl.subgroup_generate(
+        G, [G.index_of(sl.parse_cycles(c, 5)) for c in ("(0 1)(2 3)", "(0 2)(1 3)")]
+    )
+    assert _peak_bytes(lambda: qs.invariant_spectrum(space, klein)) < 2.5 * unit
 
 
 def test_gspace_validates_homomorphism(s3):
