@@ -22,7 +22,6 @@ from .errors import EigenDecompositionError, NonIntegralError
 from .permgrp import (
     ConjugacyClassPartition,
     PermutationGroup,
-    _check_subgroup,
     class_intersection_counts,
     conjugacy_classes,
 )
@@ -139,22 +138,15 @@ def _table_from_eigenvectors(G, cc, sizes, vecs, tol):
     return ct
 
 
-def inner_product(partition, values_a, values_b):
-    """Hermitian pairing (1/|G|) sum_t n_t a_t conj(b_t) of class functions."""
-    sizes = np.asarray(partition.class_sizes, dtype=np.float64)
-    a = np.asarray(values_a, dtype=np.complex128)
-    b = np.asarray(values_b, dtype=np.complex128)
-    return complex(np.sum(sizes * a * np.conj(b)) / partition.group.order)
-
-
 def multiplicities(ct, values, tol=INTEGRALITY_TOL):
     """Multiplicity of every irreducible row inside the class function
     ``values``, or inside each row of a stack of class functions.
 
-    Each entry is the pairing of ``inner_product`` with one irreducible.
-    It must be a non-negative integer within ``tol``; the error names the
-    first (character, irrep) that is not.  One class function gives a
-    tuple of ints, a stack an integer array with a row per character.
+    Each entry is the pairing (1/|G|) sum_t n_t a_t conj(chi_t) with one
+    irreducible chi, n_t the class sizes.  It must be a non-negative
+    integer within ``tol``; the error names the first (character, irrep)
+    that is not.  One class function gives a tuple of ints, a stack an
+    integer array with a row per character.
     """
     a = np.asarray(values, dtype=np.complex128)
     sizes = np.asarray(ct.partition.class_sizes, dtype=np.float64)
@@ -179,29 +171,24 @@ def permutation_character(G, H):
     of elements of H in class t and n_t its size, and each coset is met
     |H| times, so the count is |G| c_t / (|H| n_t): k integer operations
     on the class counts, exact, with no coset space."""
-    _check_subgroup(G, H)
-    _, _, sizes = G.class_data
     counts = class_intersection_counts(G, H)
+    sizes = G.classes.class_sizes
     return tuple(G.order * c // (H.order * n) for c, n in zip(counts, sizes))
 
 
-def _fixed_vector_counts(ct, K):
-    """Dimension of the K-fixed vectors in every irreducible row,
-    (1/|K|) sum_{k in K} chi(k).  By Frobenius reciprocity this is the
-    multiplicity of each irreducible in the permutation character of G
-    on G/K, which is how it is computed."""
-    return multiplicities(ct, permutation_character(ct.group, K))
-
-
-def trivial_multiplicity_on_restriction(ct, row, K):
-    """Number of K-fixed vectors in irreducible row ``row``, i.e. the
-    multiplicity of the trivial character in its restriction to K."""
-    return _fixed_vector_counts(ct, K)[row]
+def induced_multiplicities(G, H, ct=None):
+    """Multiplicity of each irreducible of ``ct`` (default: the table of
+    G) in Ind_H^G 1, the coset representation of G on G/H.  By Frobenius
+    reciprocity it is also the dimension of the H-fixed vectors of each
+    irreducible, (1/|H|) sum_{h in H} chi(h): one pairing, two readings."""
+    if ct is None:
+        ct = character_table(G)
+    return multiplicities(ct, permutation_character(G, H))
 
 
 def irreps_with_fixed_vectors(ct, K):
     """Rows whose restriction to K contains the trivial character."""
-    return tuple(np.flatnonzero(_fixed_vector_counts(ct, K)).tolist())
+    return tuple(np.flatnonzero(induced_multiplicities(ct.group, K, ct)).tolist())
 
 
 def format_complex(z, digits=12):

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chartab import (
-    _fixed_vector_counts,
     character_table,
+    induced_multiplicities,
     irreps_with_fixed_vectors,
     multiplicities,
     permutation_character,
@@ -49,13 +49,6 @@ class TripleReport:
 def almost_conjugate(G, H1, H2):
     """True iff each class of G meets H1 and H2 in equally many elements."""
     return class_intersection_counts(G, H1) == class_intersection_counts(G, H2)
-
-
-def induced_multiplicities(G, H, ct=None):
-    """Multiplicity of each irreducible in the coset representation on G/H."""
-    if ct is None:
-        ct = character_table(G)
-    return _fixed_vector_counts(ct, H)
 
 
 def representation_equivalent(G, H1, H2, ct=None):

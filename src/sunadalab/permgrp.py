@@ -159,11 +159,11 @@ class PermutationGroup:
     ``elements[0]`` is the identity.  ``table[i, j]`` indexes the
     composition ``elements[i] * elements[j]``, an int32 array that is
     read-only so that it can be shared; it, the inverse array and the
-    class data are built on first use and then kept.
+    conjugacy classes are built on first use and then kept.
 
-    Whatever is cached on the group is plain data (arrays, tuples and
-    dicts of them), never an object that refers back to the group, so a
-    group is in no reference cycle and is freed as soon as it is dropped.
+    Whatever is cached on the group is plain data (arrays, tuples, dicts
+    and the class partition), never an object that refers back to the
+    group, so a group is in no reference cycle and is freed when dropped.
     """
 
     def __init__(self, degree, generators, images):
@@ -199,12 +199,12 @@ class PermutationGroup:
         return np.argmin(self.table, axis=1)
 
     @cached_property
-    def class_data(self):
-        """The tuple (class_of, representatives, class_sizes) of the
-        conjugacy classes; the representative of each class is its least
-        element."""
+    def classes(self):
+        """The group's one record of its conjugacy classes."""
         class_of, reps = _kernels.conjugacy_partition(self.table, self.inverses)
-        return class_of, tuple(reps), tuple(np.bincount(class_of).tolist())
+        class_of.flags.writeable = False
+        sizes = tuple(np.bincount(class_of).tolist())
+        return ConjugacyClassPartition(class_of, tuple(reps), sizes)
 
     def index_of(self, perm):
         key = np.asarray(perm.images, dtype=np.int32).tobytes()
@@ -256,10 +256,9 @@ class ConjugacyClassPartition:
     """Partition of a group into conjugacy classes.
 
     Classes are numbered by their minimal element index, so class 0 is
-    the identity's class.
+    the identity's class.  ``class_of`` is shared, so read-only.
     """
 
-    group: PermutationGroup
     class_of: np.ndarray
     representatives: tuple
     class_sizes: tuple
@@ -333,21 +332,20 @@ def generate_group(degree, generators, max_order=DEFAULT_MAX_ORDER):
 
 def class_intersection_counts(G, H):
     """Number of elements of H inside each conjugacy class of G, counted
-    once per subgroup of G and kept on G, keyed by its element tuple."""
+    once per subgroup of G and kept on G, keyed by its element tuple.
+    Every character query reads H here, so here H is checked to be in G."""
+    _check_subgroup(G, H)
     counts = G._class_counts.get(H.elements)
     if counts is None:
-        class_of, _, sizes = G.class_data
-        hits = np.bincount(class_of[H.indices()], minlength=len(sizes))
+        cc = G.classes
+        hits = np.bincount(cc.class_of[H.indices()], minlength=cc.num_classes)
         counts = G._class_counts[H.elements] = tuple(hits.tolist())
     return counts
 
 
 def conjugacy_classes(G):
-    """Partition of G by g ~ x g x^{-1}; its data is cached on the group."""
-    class_of, reps, sizes = G.class_data
-    return ConjugacyClassPartition(
-        group=G, class_of=class_of, representatives=reps, class_sizes=sizes
-    )
+    """Partition of G by g ~ x g x^{-1}: the one ``G.classes`` record."""
+    return G.classes
 
 
 def subgroup_generate(G, gens):

@@ -22,6 +22,7 @@ import numpy as np
 from .chartab import (
     CharacterTable,
     character_table,
+    induced_multiplicities,
     irreps_with_fixed_vectors,
     multiplicities,
 )
@@ -33,7 +34,6 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .gassmann import induced_multiplicities
 from .permgrp import (
     PermutationGroup,
     Subgroup,
@@ -132,7 +132,8 @@ def gspace(G, graph, vertex_perms):
     and every g, and the identity acts trivially, then rho is a
     homomorphism by induction on the word length of the left factor; every
     rho(g) is then a product of generator permutations, so it preserves
-    the weights when the generators do.
+    the weights when the generators do.  The space keeps a read-only
+    int32 action: a copy, unless no one can write the caller's memory.
     """
     perms = np.asarray(vertex_perms)
     if perms.dtype.kind not in "iu":
@@ -146,8 +147,11 @@ def gspace(G, graph, vertex_perms):
     not_perm = np.flatnonzero((np.sort(perms, axis=1) != ident).any(axis=1))
     if not_perm.size:
         raise PreconditionError(f"row {not_perm[0]} of the action is not a permutation")
-    # a read-only view, so that the caller's own array keeps its flags
-    perms = perms.astype(np.int32, copy=False).view()
+    # shared only if no array down to the owner of the data is writable
+    owner = perms
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    perms = perms.astype(np.int32, copy=owner is not None)
     perms.flags.writeable = False
     if not np.array_equal(perms[0], ident):
         raise PreconditionError("identity element must act as the identity")
@@ -194,6 +198,7 @@ def gspace_from_generator_images(G, graph, images):
                 queue.append(y)
     if not done.all():
         raise PreconditionError("generators do not generate the whole group")
+    perms.flags.writeable = False  # handed over to the space, not copied
     return gspace(G, graph, perms)
 
 
@@ -252,6 +257,7 @@ def coset_gspace(G, subgroups, weight_seed=0):
         perms[:, offset : offset + cs.num_cosets] = cs.action + offset
         offset += cs.num_cosets
     w = random_invariant_weights(perms, n, seed=weight_seed)
+    perms.flags.writeable = False  # handed over to the space, not copied
     return gspace(G, weighted_graph(w), perms)
 
 

@@ -245,7 +245,7 @@ def test_fixed_vector_counts_exact(s4, d4):
                 for row in rows
             ]
             assert all(m.denominator == 1 for m in exact)
-            assert ch._fixed_vector_counts(ct, K) == tuple(int(m) for m in exact)
+            assert ch.induced_multiplicities(G, K, ct) == tuple(int(m) for m in exact)
             assert ch.irreps_with_fixed_vectors(ct, K) == tuple(
                 r for r, m in enumerate(exact) if m > 0
             )
@@ -266,9 +266,9 @@ def test_trivial_restriction_counts(s3):
     ct = ch.character_table(s3)
     A3 = sl.subgroup_generate(s3, [s3.index_of(sl.parse_cycles("(0 1 2)", 3))])
     # trivial and sign restrict trivially to A3; the 2-dim does not
-    assert ch.trivial_multiplicity_on_restriction(ct, 0, A3) == 1
-    assert ch.trivial_multiplicity_on_restriction(ct, 1, A3) == 1
-    assert ch.trivial_multiplicity_on_restriction(ct, 2, A3) == 0
+    # (1/|A3|) sum_{k in A3} chi(k) = (chi(e) + 2 chi((0 1 2))) / 3 per row
+    exact = [Fraction(e + 2 * c, 3) for e, c in ((1, 1), (1, 1), (2, -1))]
+    assert ch.induced_multiplicities(s3, A3, ct) == tuple(int(m) for m in exact) == (1, 1, 0)
     assert ch.irreps_with_fixed_vectors(ct, A3) == (0, 1)
 
 

@@ -1,13 +1,16 @@
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import sunadalab as sl
 from sunadalab import chartab
 from sunadalab import gassmann as gs
 from sunadalab.cli import _normalize
-from sunadalab.errors import BudgetExceededError, PreconditionError
+from sunadalab.errors import BudgetExceededError, NotASubgroupError, PreconditionError
 from sunadalab.permgrp import conjugate_by_all
 
 
@@ -47,6 +50,43 @@ def test_both_routes_agree_on_s3_pairs(s3):
             assert gs.almost_conjugate(s3, a, b) == gs.representation_equivalent(
                 s3, a, b
             )
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.permutations(list(range(n))), max_size=3))
+))
+def test_counting_and_characters_agree_on_random_groups(degree_gens):
+    degree, gens = degree_gens
+    G = sl.generate_group(degree, [sl.Permutation(g) for g in gens])
+    ct = sl.character_table(G)
+    subs = sl.all_subgroups(G)
+    for H in subs:
+        m = sl.induced_multiplicities(G, H, ct)
+        assert sum(a * d for a, d in zip(m, ct.degrees)) == G.order // H.order
+        assert m[0] == 1
+    for H1, H2 in itertools.combinations(subs, 2):
+        if H1.order == H2.order:
+            assert gs.almost_conjugate(G, H1, H2) == gs.representation_equivalent(
+                G, H1, H2, ct
+            )
+
+
+def test_foreign_subgroup_raises_not_a_subgroup(s4, aff8):
+    # element 26 lies past the end of S4's 24 elements; (0, 1) lies inside,
+    # and read as S4 indices it would get S4's class counts
+    subgroups = [sl.subgroup_generate(aff8, [26]), sl.subgroup_generate(aff8, [1])]
+    assert [H.elements for H in subgroups] == [(0, 26), (0, 1)]
+    # the same element tuple as a subgroup of s4 whose counts are cached
+    gs.class_intersection_counts(s4, sl.subgroup_generate(s4, [1]))
+    subgroups.append(sl.subgroup_generate(sl.load_bundled_group("s4"), [1]))
+    for H in subgroups:
+        with pytest.raises(NotASubgroupError):
+            gs.class_intersection_counts(s4, H)
+        with pytest.raises(NotASubgroupError):
+            gs.almost_conjugate(s4, H, H)
+        with pytest.raises(NotASubgroupError):
+            gs.triple_report(s4, H, H)
 
 
 def test_k_equivalence_weakens(s3):

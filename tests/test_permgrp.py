@@ -183,6 +183,13 @@ def test_aff8_has_11_classes(aff8):
     assert sl.conjugacy_classes(aff8).num_classes == 11
 
 
+def test_one_class_record_per_group(s4):
+    cc = sl.conjugacy_classes(s4)
+    assert cc is sl.conjugacy_classes(s4) is s4.classes
+    with pytest.raises(ValueError):
+        cc.class_of[0] = 1  # every caller shares it, so it is read-only
+
+
 def test_abelian_class_data_memory():
     # the cyclic group of order 2000 = 16 * 125 has 2000 classes; its class
     # data is a label per element, not a row of conjugates per class

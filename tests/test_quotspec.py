@@ -167,6 +167,18 @@ def test_gspace_checks_range_before_narrowing(z4):
         qs.gspace(z4, graph, wrapped)
 
 
+def test_gspace_copies_a_writable_action(z4):
+    graph = qs.cayley_graph(z4).graph
+    a = np.array(z4.table)
+    space = qs.gspace(z4, graph, a)
+    a[1] = a[2]  # the caller may change its array, not the checked action
+    assert np.array_equal(space.vertex_perms, z4.table)
+    # a read-only view is copied too while its base can be written
+    view = np.array(z4.table).view()
+    view.flags.writeable = False
+    assert not np.shares_memory(qs.gspace(z4, graph, view).vertex_perms, view)
+
+
 def test_cayley_action_is_the_read_only_group_table(s4):
     space = qs.cayley_graph(s4)
     assert space.vertex_perms.dtype == np.int32
@@ -593,6 +605,7 @@ def _use_every_cache():
     """Fill every cache of a fresh group and of a G-space on it; return
     only a weak reference to the group."""
     G = sl.load_bundled_group("aff8")
+    assert sl.conjugacy_classes(G) is G.classes
     sl.all_subgroups(G)
     H1, H2 = sl.gassmann_search(G, 4)[0]
     assert sl.triple_report(G, H1, H2).almost_conjugate
