@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigenDecompositionError, NonIntegralError
+from .errors import EigenDecompositionError, NonIntegralError, NotASubgroupError
 from .permgrp import (
     ConjugacyClassPartition,
     PermutationGroup,
@@ -183,6 +183,8 @@ def induced_multiplicities(G, H, ct=None):
     irreducible, (1/|H|) sum_{h in H} chi(h): one pairing, two readings."""
     if ct is None:
         ct = character_table(G)
+    elif ct.group is not G:
+        raise NotASubgroupError("character table belongs to another group object")
     return multiplicities(ct, permutation_character(G, H))
 
 

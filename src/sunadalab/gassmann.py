@@ -24,7 +24,7 @@ from .chartab import (
     multiplicities,
     permutation_character,
 )
-from .errors import PreconditionError
+from .errors import NotASubgroupError, PreconditionError
 from .permgrp import (
     are_conjugate_subgroups,
     class_intersection_counts,
@@ -87,6 +87,8 @@ def triple_report(G, H1, H2, ct=None):
         )
     if ct is None:
         ct = character_table(G)
+    elif ct.group is not G:
+        raise NotASubgroupError("character table belongs to another group object")
     c1 = class_intersection_counts(G, H1)
     c2 = class_intersection_counts(G, H2)
     ac = c1 == c2

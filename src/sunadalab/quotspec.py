@@ -133,7 +133,8 @@ def gspace(G, graph, vertex_perms):
     homomorphism by induction on the word length of the left factor; every
     rho(g) is then a product of generator permutations, so it preserves
     the weights when the generators do.  The space keeps a read-only
-    int32 action: a copy, unless no one can write the caller's memory.
+    int32 action: a copy, unless the caller passes a read-only array that
+    owns its data, which it must then not make writable again.
     """
     perms = np.asarray(vertex_perms)
     if perms.dtype.kind not in "iu":
@@ -147,11 +148,7 @@ def gspace(G, graph, vertex_perms):
     not_perm = np.flatnonzero((np.sort(perms, axis=1) != ident).any(axis=1))
     if not_perm.size:
         raise PreconditionError(f"row {not_perm[0]} of the action is not a permutation")
-    # shared only if no array down to the owner of the data is writable
-    owner = perms
-    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
-        owner = owner.base
-    perms = perms.astype(np.int32, copy=owner is not None)
+    perms = perms.astype(np.int32, copy=perms.flags.writeable or perms.base is not None)
     perms.flags.writeable = False
     if not np.array_equal(perms[0], ident):
         raise PreconditionError("identity element must act as the identity")

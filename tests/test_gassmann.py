@@ -89,6 +89,23 @@ def test_foreign_subgroup_raises_not_a_subgroup(s4, aff8):
             gs.triple_report(s4, H, H)
 
 
+def test_table_of_another_group_raises_not_a_subgroup(q8, d4):
+    # q8 and d4 share their class sizes; a second q8 object has the same table
+    H = sl.subgroup_generate(q8, [1])
+    assert H.order == 2
+    for other in (d4, sl.load_bundled_group("q8")):
+        ct = chartab.character_table(other)
+        for pairing in (chartab.induced_multiplicities, gs.induced_multiplicities):
+            with pytest.raises(NotASubgroupError):
+                pairing(q8, H, ct)
+        with pytest.raises(NotASubgroupError):
+            gs.representation_equivalent(q8, H, H, ct)
+        with pytest.raises(NotASubgroupError):
+            gs.k_equivalent(q8, H, H, H, ct)
+        with pytest.raises(NotASubgroupError):
+            gs.triple_report(q8, H, H, ct)
+
+
 def test_k_equivalence_weakens(s3):
     A3 = sl.subgroup_generate(s3, [s3.index_of(sl.parse_cycles("(0 1 2)", 3))])
     T = sl.subgroup_generate(s3, [s3.index_of(sl.parse_cycles("(0 1)", 3))])
