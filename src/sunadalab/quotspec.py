@@ -132,7 +132,12 @@ def gspace(G, graph, vertex_perms):
     and every g, and the identity acts trivially, then rho is a
     homomorphism by induction on the word length of the left factor; every
     rho(g) is then a product of generator permutations, so it preserves
-    the weights when the generators do.  The space keeps a read-only
+    the weights when the generators do.  A generator p preserves them iff
+    it carries each positive-weight pair (u, v) to a pair (pu, pv) of the
+    same weight: (u, v) -> (pu, pv) is a bijection of the ordered pairs,
+    so if it maps the positive pairs into themselves it maps them onto
+    themselves, and the zero pairs onto the zero pairs.  Only the edge
+    list is gathered, not the n x n matrix.  The space keeps a read-only
     int32 action: a copy, unless the caller passes a read-only array that
     owns its data, which it must then not make writable again.
     """
@@ -154,17 +159,24 @@ def gspace(G, graph, vertex_perms):
         raise PreconditionError("identity element must act as the identity")
     table = G.table
     w = graph.weights
-    for s in sorted({G.index_of(gen) for gen in G.generators}):
+    us, vs = np.divmod(np.flatnonzero(w > 0), graph.n)  # the edges, as ordered pairs
+    edge_weights = w[us, vs]
+    for s in _generator_rows(G):
         p = perms[s]
         if not np.array_equal(perms[table[s]], p[perms]):
             raise PreconditionError(
                 f"action is not a homomorphism at generator {s}"
             )
-        if not np.array_equal(w[np.ix_(p, p)], w):
+        if not np.array_equal(w[p[us], p[vs]], edge_weights):
             raise PreconditionError(
                 f"element {s} does not preserve the edge weights"
             )
     return GSpace(group=G, graph=graph, vertex_perms=perms)
+
+
+def _generator_rows(G):
+    """Element indices of the group's generators, ascending, each once."""
+    return sorted({G.index_of(gen) for gen in G.generators})
 
 
 def gspace_from_generator_images(G, graph, images):
@@ -210,7 +222,7 @@ def cayley_graph(G, gen_indices=None, weights=None):
     caller's ``weights`` dict is left as it was.
     """
     if gen_indices is None:
-        gen_indices = sorted({G.index_of(g) for g in G.generators})
+        gen_indices = _generator_rows(G)
     gen_indices = [int(s) for s in gen_indices]
     if 0 in gen_indices:
         raise PreconditionError("connection set must not contain the identity")
@@ -253,17 +265,17 @@ def coset_gspace(G, subgroups, weight_seed=0):
     for cs in spaces:
         perms[:, offset : offset + cs.num_cosets] = cs.action + offset
         offset += cs.num_cosets
-    w = random_invariant_weights(perms, n, seed=weight_seed)
+    w = random_invariant_weights(perms[_generator_rows(G)], n, seed=weight_seed)
     perms.flags.writeable = False  # handed over to the space, not copied
     return gspace(G, weighted_graph(w), perms)
 
 
 def random_invariant_weights(perms, n, seed=0, keep_prob=0.7):
-    """Random symmetric weights constant on each orbit of vertex pairs."""
+    """Random symmetric weights constant on each orbit of vertex pairs
+    under the group that the rows of ``perms`` generate."""
     orbit = _pair_orbits(perms, n)
     rng = np.random.default_rng(seed)
-    num = orbit.max() + 1 if orbit.size else 0
-    values = rng.uniform(0.25, 1.0, size=max(num, 0))
+    values = rng.uniform(0.25, 1.0, size=orbit.max(initial=-1) + 1)
     values[rng.uniform(size=values.shape) > keep_prob] = 0.0
     w = np.zeros((n, n))
     mask = orbit >= 0
@@ -272,19 +284,35 @@ def random_invariant_weights(perms, n, seed=0, keep_prob=0.7):
 
 
 def _pair_orbits(perms, n):
-    """Orbit index of each off-diagonal vertex pair under the action and
-    the swap (u, v) -> (v, u); the diagonal is marked -1.
+    """Orbit index of each off-diagonal vertex pair under the group that
+    the rows of ``perms`` generate and the swap (u, v) -> (v, u); the
+    diagonal is marked -1.
 
-    ``perms`` lists every group element, so the smallest code u*n + v in
-    the orbit of (u, v) is a minimum over the rows and the swap.  Orbits
-    are numbered by that code, which is the order in which a row-major
-    scan of the pairs first reaches them.
+    Each pair starts with its own code u*n + v.  A round pulls into every
+    pair the code of its image under the swap and under each row, then
+    replaces each code by the code of the pair it names (pointer
+    jumping).  Codes only fall, and each names a pair of its own orbit.
+    Once a round changes nothing, each code is at most the code of every
+    image; in a finite group the inverse of a generator is one of its
+    powers, so the images reach the whole orbit and the code is constant
+    on it.  The orbit's least pair holds a code of its own orbit that is
+    at most its own, so the constant is the least code.  So the
+    generator rows suffice, where a sweep over every element costs |G|
+    n x n passes, and a round holds about three n x n arrays whatever
+    the number of rows.  Orbits are numbered by that least code, which
+    is the order in which a row-major scan of the pairs first reaches
+    them.
     """
-    code = np.full((n, n), n * n, dtype=np.int64)
-    for p in np.asarray(perms):
-        p = p.astype(np.int64)  # codes reach n * n; cast one row at a time
-        np.minimum(code, p[:, None] * n + p[None, :], out=code)
-    code = np.minimum(code, code.T)
+    rows = np.asarray(perms, dtype=np.intp)
+    code = np.arange(n * n).reshape(n, n)
+    while True:
+        pulled = np.minimum(code, code.T)
+        for p in rows:
+            np.minimum(pulled, pulled[np.ix_(p, p)], out=pulled)
+        pulled = pulled.ravel()[pulled]
+        if np.array_equal(pulled, code):
+            break
+        code = pulled
     np.fill_diagonal(code, n * n)  # no off-diagonal pair has this label
     orbit = orbit_numbering(code.ravel())[1].reshape(n, n)
     np.fill_diagonal(orbit, -1)
@@ -297,9 +325,9 @@ def perturb_invariant_weights(space, seed=0, low=0.5, high=1.5):
     Returns a new G-space on the same action; invariance stays exact, so
     any isospectrality that came from the group structure survives.
     """
-    orbit = _pair_orbits(space.vertex_perms, space.n)
+    orbit = _pair_orbits(space.vertex_perms[_generator_rows(space.group)], space.n)
     rng = np.random.default_rng(seed)
-    factors = rng.uniform(low, high, size=orbit.max() + 1)
+    factors = rng.uniform(low, high, size=orbit.max(initial=-1) + 1)
     w = space.graph.weights.copy()
     mask = orbit >= 0
     w[mask] = w[mask] * factors[orbit[mask]]
@@ -431,18 +459,26 @@ def quotient_graph(space, H=None):
     between two orbits sums the weights from one representative into the
     entire other orbit.  Weights inside an orbit are dropped with the
     diagonal.  Non-free actions have no graph quotient with the right
-    spectrum; use invariant_spectrum for those."""
+    spectrum; use invariant_spectrum for those.
+
+    Orbit a's representative is its least vertex, so the weights are one
+    row gather W[reps] summed over the columns sorted by orbit, with no
+    orbit basis and no n x n product: the orbits of a free action all
+    have |H| vertices, so those columns fall into equal blocks, one per
+    orbit and each led by its least vertex.  Both orders of a pair of
+    orbits add the same weights in another order, so the result is
+    symmetrized against rounding.
+    """
     if not is_free(space, H):
         raise NonFreeActionError(
             "the action has a fixed vertex; the quotient is not a graph, "
             "use invariant_spectrum instead"
         )
-    # with orbits of equal size |H|, (B^T W B)[a, b] is the weight from one
-    # vertex of orbit a into all of orbit b
-    basis = _orbit_basis(space, H)
-    q = basis.T @ space.graph.weights @ basis
+    h = space.group.order if H is None else H.order
+    order = np.argsort(_orbit_labels(space, H)[0], kind="stable")
+    k = space.n // h
+    q = space.graph.weights[np.ix_(order[::h], order)].reshape(k, k, h).sum(axis=2)
     np.fill_diagonal(q, 0.0)
-    # the product is symmetric up to rounding; make it exactly so
     return weighted_graph((q + q.T) / 2.0)
 
 

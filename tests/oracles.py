@@ -237,6 +237,19 @@ def vertex_orbits(perms, n):
     return orbits
 
 
+def quotient_weights(weights, perms, n):
+    """Weights of the quotient graph of a free action, from the
+    definition: the orbits of the rows of ``perms``, listed by minimal
+    vertex, and between two distinct orbits the sum of the weights from
+    the first orbit's least vertex into every vertex of the second.
+    Nested lists."""
+    orbits = vertex_orbits(perms, n)
+    return [
+        [0.0 if a == b else math.fsum(weights[oa[0]][v] for v in ob) for b, ob in enumerate(orbits)]
+        for a, oa in enumerate(orbits)
+    ]
+
+
 def subgroup_closure_failure(table, indices):
     """First pair (i, j) of the sorted index set, in row-major order,
     whose product table[i][j] falls outside the set, or None."""

@@ -256,6 +256,15 @@ def test_gspace_validates_weight_preservation(z6):
         qs.gspace(z6, qs.weighted_graph(w), np.asarray(z6.table))
 
 
+def test_gspace_rejects_an_edge_carried_onto_a_non_edge(z6):
+    # the path 0-1-2-3-4-5: the rotation carries each edge {i, i + 1} with
+    # i < 4 onto an edge of equal weight, but {4, 5} onto the non-edge {5, 0}
+    w = _cycle_weights(6)
+    w[5, 0] = w[0, 5] = 0.0
+    with pytest.raises(PreconditionError, match="does not preserve the edge weights"):
+        qs.gspace(z6, qs.weighted_graph(w), np.asarray(z6.table))
+
+
 def test_generator_images_extension(z6):
     graph = qs.weighted_graph(_cycle_weights(6))
     rot = [(v + 1) % 6 for v in range(6)]
@@ -355,6 +364,30 @@ def test_quotient_intertwines_on_random_invariant_weights(q8):
             assert np.max(np.abs(a - b)) < 1e-9
 
 
+@pytest.mark.parametrize("name", ["q8", "aff8"])
+def test_quotient_graph_matches_oracle(groups, name):
+    G = groups[name]
+    subs = sl.all_subgroups(G)
+    spaces = [
+        qs.cayley_graph(G),
+        qs.coset_gspace(G, [subs[0]], weight_seed=2),
+        qs.coset_gspace(G, [subs[len(subs) // 2], subs[0]], weight_seed=3),
+    ]
+    free = 0
+    for space in spaces:
+        weights = space.graph.weights.tolist()
+        for H in subs:
+            perms = space.vertex_perms[H.indices()].tolist()
+            if not oracles.is_free(perms):
+                continue
+            free += 1
+            got = qs.quotient_graph(space, H).weights
+            want = np.asarray(oracles.quotient_weights(weights, perms, space.n))
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
+    assert free >= 2 * len(subs)  # every subgroup on the two regular spaces
+
+
 def test_invariant_spectrum_trivial_subgroup_is_full(z6):
     space = qs.cayley_graph(z6)
     triv = sl.subgroup_generate(z6, [])
@@ -386,8 +419,36 @@ def test_pair_orbits_match_search_oracle(groups):
         spaces += [qs.coset_gspace(G, [H]) for H in subs[:: max(1, len(subs) // 6)]]
         spaces.append(qs.coset_gspace(G, [subs[0], subs[-1], subs[len(subs) // 2]]))
     for space in spaces:
-        got = qs._pair_orbits(space.vertex_perms, space.n)
-        assert got.tolist() == oracles.pair_orbits(space.vertex_perms, space.n)
+        want = oracles.pair_orbits(space.vertex_perms, space.n)
+        assert qs._pair_orbits(space.vertex_perms, space.n).tolist() == want
+        # the generator rows alone give the same orbits, numbered alike
+        rows = space.vertex_perms[qs._generator_rows(space.group)]
+        assert qs._pair_orbits(rows, space.n).tolist() == want
+
+
+def test_seeded_weights_match_the_all_rows_numbering(monkeypatch, groups):
+    # coset_gspace and perturb_invariant_weights number the pair orbits
+    # from the generator rows; with every row they must draw the same bits
+    cases = [(qs.cayley_graph(_psl32()), None)]
+    for name in ("s4", "aff8"):
+        G = groups[name]
+        subs = sl.all_subgroups(G)
+        cases += [(qs.cayley_graph(G), None)]
+        cases += [(G, [H]) for H in subs[:: max(1, len(subs) // 4)]]
+        cases.append((G, [subs[0], subs[-1], subs[len(subs) // 2]]))
+
+    def draw():
+        out = []
+        for seed, (base, subgroups) in enumerate(cases):
+            if subgroups is not None:
+                base = qs.coset_gspace(base, subgroups, weight_seed=seed)
+                out.append(base.graph.weights.tobytes())
+            out.append(qs.perturb_invariant_weights(base, seed=seed).graph.weights.tobytes())
+        return out
+
+    from_generators = draw()
+    monkeypatch.setattr(qs, "_generator_rows", lambda G: list(range(G.order)))
+    assert draw() == from_generators
 
 
 def test_one_laplacian_eigh_per_gspace(monkeypatch, aff8_triple):
@@ -481,6 +542,12 @@ def test_empty_gspace(z4):
     assert rep.holds
     assert rep.eigenvalues == rep.invariant_dims == rep.induced_sums == ()
     assert rep.k_rows == (0, 1, 2, 3)
+    # every weight and quotient routine returns an empty result as well
+    whole = sl.subgroup_from_indices(z4, range(4))
+    assert qs.perturb_invariant_weights(space, seed=1).graph.weights.shape == (0, 0)
+    assert qs.quotient_graph(space, whole).weights.shape == (0, 0)
+    assert qs.quotient_graph(space).n == 0
+    assert qs.invariant_spectrum(space, whole).dim == 0
 
 
 def test_cluster_dimension_identity(d4):
@@ -786,6 +853,31 @@ def test_cayley_graph_identity_support_and_quotient(n, data):
     assert rep.invariant_dims == rep.induced_sums
     assert qs.donnelly_support(space).law_holds
     # left translation on a Cayley graph is free
+    assert qs.is_free(space, H)
+    quotient = qs.spectrum(qs.quotient_graph(space, H)).values
+    invariant = qs.invariant_spectrum(space, H).values
+    assert len(quotient) == len(invariant) == G.order // H.order
+    assert np.max(np.abs(quotient - invariant)) < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3, 6), st.data())
+def test_cayley_quotients_match_invariant_spectra_up_to_s6(n, data):
+    # random subgroups of S_n, connection sets and weights; left
+    # translation is free, so both routes give the quotient spectrum
+    perm = st.permutations(list(range(n)))
+    gens = data.draw(st.lists(perm, min_size=1, max_size=2))
+    G = sl.generate_group(n, [sl.Permutation(g) for g in gens])
+    conn = []
+    if G.order > 1:
+        conn = data.draw(st.lists(st.integers(1, G.order - 1), max_size=4, unique=True))
+    weights = {}
+    for s in conn:
+        if G.inv(s) not in weights:
+            weights[s] = data.draw(st.floats(0.25, 2.0))
+    space = qs.cayley_graph(G, list(weights), weights)
+    H = sl.subgroup_generate(G, data.draw(st.lists(st.integers(0, G.order - 1), max_size=2)))
+
     assert qs.is_free(space, H)
     quotient = qs.spectrum(qs.quotient_graph(space, H)).values
     invariant = qs.invariant_spectrum(space, H).values
