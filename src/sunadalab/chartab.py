@@ -28,6 +28,12 @@ from .permgrp import (
 
 ORTHOGONALITY_TOL = 1e-9
 INTEGRALITY_TOL = 1e-6
+# random class-matrix combinations tried before a table is given up
+MAX_ATTEMPTS = 8
+# abstract_table_fingerprint rounds values to this many decimals and
+# searches blocks of at most this many equal-size classes
+FINGERPRINT_DECIMALS = 9
+FINGERPRINT_MAX_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -65,16 +71,16 @@ def structure_constants(G):
     return a
 
 
-def character_table(G, seed=0, tol=ORTHOGONALITY_TOL, max_attempts=8):
+def character_table(G, seed=0):
     """Character table of G, deterministic for a fixed seed.
 
-    Each table is kept on the group under its ``(seed, tol)``, so a
-    later call with the same pair does no eigendecomposition.  Raises
+    Each table is kept on the group under its seed, so a later call
+    with the same seed does no eigendecomposition.  Raises
     EigenDecompositionError if no random class-matrix combination
-    produces a verified table within ``max_attempts`` draws.
+    produces a verified table within ``MAX_ATTEMPTS`` draws.
     """
     cc = conjugacy_classes(G)
-    cached = G._character_tables.get((seed, tol))
+    cached = G._character_tables.get(seed)
     if cached is not None:
         table, degrees = cached
         return CharacterTable(group=G, partition=cc, table=table, degrees=degrees)
@@ -82,24 +88,24 @@ def character_table(G, seed=0, tol=ORTHOGONALITY_TOL, max_attempts=8):
     sizes = np.asarray(cc.class_sizes, dtype=np.float64)
     k = cc.num_classes
     last_error = None
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
         coeffs = rng.normal(size=k)
         combined = np.tensordot(coeffs, a, axes=1)
         _, vecs = np.linalg.eig(combined)
         try:
-            ct = _table_from_eigenvectors(G, cc, sizes, vecs, tol)
+            ct = _table_from_eigenvectors(G, cc, sizes, vecs)
         except (NonIntegralError, EigenDecompositionError) as exc:
             last_error = exc
             continue
-        G._character_tables[seed, tol] = (ct.table, ct.degrees)
+        G._character_tables[seed] = (ct.table, ct.degrees)
         return ct
     raise EigenDecompositionError(
-        f"no valid character table after {max_attempts} attempts: {last_error}"
+        f"no valid character table after {MAX_ATTEMPTS} attempts: {last_error}"
     )
 
 
-def _table_from_eigenvectors(G, cc, sizes, vecs, tol):
+def _table_from_eigenvectors(G, cc, sizes, vecs):
     k = cc.num_classes
     rows = []
     for c in range(k):
@@ -130,7 +136,7 @@ def _table_from_eigenvectors(G, cc, sizes, vecs, tol):
     table = re + 1j * im
     degrees = tuple(d for d, _ in rows)
     gram = (table * (sizes / G.order)[None, :]) @ table.conj().T
-    if np.max(np.abs(gram - np.eye(k))) > tol:
+    if np.max(np.abs(gram - np.eye(k))) > ORTHOGONALITY_TOL:
         raise EigenDecompositionError(
             f"row orthogonality fails at {np.max(np.abs(gram - np.eye(k))):.3e}"
         )
@@ -221,14 +227,14 @@ def export_character_table_csv(ct, fh):
         fh.write(f"{ct.degrees[r]}," + ",".join(cells) + "\n")
 
 
-def abstract_table_fingerprint(ct, decimals=9, max_block=8):
+def abstract_table_fingerprint(ct):
     """A canonical form of the table, invariant under class relabelling.
 
     Classes other than the identity's may be listed in any order by two
     presentations of abstractly equal groups, so the fingerprint fixes
     the identity column, then minimizes the sorted row tuple over all
     permutations within blocks of equal class size.  Intended for small
-    tables; blocks larger than ``max_block`` are rejected.
+    tables; blocks larger than ``FINGERPRINT_MAX_BLOCK`` are rejected.
     """
     k = ct.num_irreps
     sizes = ct.partition.class_sizes
@@ -236,7 +242,7 @@ def abstract_table_fingerprint(ct, decimals=9, max_block=8):
     for c in range(1, k):
         blocks.setdefault(sizes[c], []).append(c)
     for size, cols in blocks.items():
-        if len(cols) > max_block:
+        if len(cols) > FINGERPRINT_MAX_BLOCK:
             raise ValueError(
                 f"{len(cols)} classes of size {size}: fingerprint search too large"
             )
@@ -248,7 +254,10 @@ def abstract_table_fingerprint(ct, decimals=9, max_block=8):
         order = [0] + [c for group in perm_choice for c in group]
         rows = sorted(
             tuple(
-                (round(z.real, decimals) + 0.0, round(z.imag, decimals) + 0.0)
+                (
+                    round(z.real, FINGERPRINT_DECIMALS) + 0.0,
+                    round(z.imag, FINGERPRINT_DECIMALS) + 0.0,
+                )
                 for z in ct.table[r, order]
             )
             for r in range(k)

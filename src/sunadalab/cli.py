@@ -6,7 +6,8 @@ runs the full Cayley-graph pipeline on a triple, and ``heat`` evaluates
 flat-model indicators and the audibility chain.  All reports are JSON
 with sorted keys and floats normalized to 15 significant digits, so a
 fixed invocation produces byte-identical output.  Exit codes: 0 success,
-2 parse failure, 3 precondition failure, 4 numerical failure.
+2 parse failure or an input that cannot be read (missing, a directory,
+not UTF-8), 3 precondition failure, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -382,6 +383,8 @@ def build_parser():
 
 _EXIT_CODES = (
     (ParseError, 2),
+    (OSError, 2),  # a file that is missing or cannot be opened or read
+    (UnicodeDecodeError, 2),
     (PreconditionError, 3),
     (NumericalError, 4),
 )
@@ -397,12 +400,8 @@ def main(argv=None):
                     f"--{dest.replace('_', '-')} must be finite and non-negative, got {value}"
                 )
         return args.func(args)
-    except SunadaLabError as exc:
-        code = 1
-        for cls, c in _EXIT_CODES:
-            if isinstance(exc, cls):
-                code = c
-                break
+    except (SunadaLabError, OSError, UnicodeDecodeError) as exc:
+        code = next((c for cls, c in _EXIT_CODES if isinstance(exc, cls)), 1)
         payload = {
             "error": {
                 "type": type(exc).__name__,
@@ -412,12 +411,6 @@ def main(argv=None):
         }
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         return code
-    except FileNotFoundError as exc:
-        payload = {
-            "error": {"type": "FileNotFoundError", "message": str(exc), "exit_code": 2}
-        }
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return 2
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 The CLI maps these onto exit codes: ParseError -> 2, PreconditionError -> 3,
-NumericalError -> 4.
+NumericalError -> 4; an input it cannot read (OSError, UnicodeDecodeError)
+is 2 as well.
 """
 
 

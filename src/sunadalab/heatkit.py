@@ -1,19 +1,21 @@
 """Heat traces of closed-form flat spectra and a singular-set detector.
 
-Every flat model is a product of one-dimensional factors, one per side
-length L.  A factor (c, mult) has eigenvalues (c n / L)^2 for
-n = 0..nmax, simple at n = 0 and of multiplicity ``mult`` above.  The
-circle is one (2 pi, 2) factor, the mirror-quotient interval with
-Neumann ends one (pi, 1) factor, and the rectangular torus two circle
-factors.  On the truncation box a model's heat trace is the product of
-its factor partial sums, and its rigorous tail bound is folded from the
-factors' integral-comparison bounds, so every reported digit is
-certified without the eigenvalue list; that list is built only when a
-caller reads it.  For the one-dimensional models the small-time
-expansion is volume/sqrt(4 pi t) + (boundary constant) + exponentially
-small terms, and the detector extracts that constant: it vanishes for
-the circle and equals 1/2 for the interval (1/4 per mirror endpoint),
-which is what makes the presence of the mirror points audible.
+Every flat model is a product of one-dimensional factors (c, mult),
+one per side length L, which it carries in ``factors``.  A factor has
+eigenvalues (c n / L)^2 for n = 0..nmax, simple at n = 0 and of
+multiplicity ``mult`` above.  The circle is one (2 pi, 2) factor, the
+mirror-quotient interval with Neumann ends one (pi, 1) factor, and the
+rectangular torus two circle factors.  On the truncation box a model's
+heat trace is the product of its factor partial sums, and its rigorous
+tail bound is folded from the factors' integral-comparison bounds, so
+every reported digit is certified without the eigenvalue list; that
+list is built only when a caller reads it.  For the one-dimensional
+models the small-time expansion is volume/sqrt(4 pi t) + (boundary
+constant) + exponentially small terms, and the detector extracts that
+constant: it vanishes for the circle and equals 1/2 for the interval
+(1/4 per mirror endpoint), which is what makes the presence of the
+mirror points audible.  The audibility chain is one table of premises,
+and ``_as_value_mult_arrays`` is the one reader of any kind of spectrum.
 """
 
 from __future__ import annotations
@@ -31,15 +33,12 @@ from .errors import NumericalError, ParseError, PreconditionError, TailBoundErro
 SINGULARITY_THRESHOLD = 0.05
 DETECTOR_T_LO = 1e-4
 DETECTOR_T_HI = 1e-3
+# relative tolerance of the audibility chain's volume comparisons
+VOLUME_REL_TOL = 1e-6
 
-# the one-dimensional factors (c, mult) of each model
+# one-dimensional factors (c, mult)
 _CIRCLE = (2.0 * np.pi, 2)
 _NEUMANN = (np.pi, 1)
-_MODEL_FACTORS = {
-    "circle": (_CIRCLE,),
-    "interval_neumann": (_NEUMANN,),
-    "rect_torus": (_CIRCLE, _CIRCLE),
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,6 +52,7 @@ class FlatModelSpectrum:
 
     model: str
     lengths: tuple
+    factors: tuple  # one (c, mult) per side length
     nmax: int
     dim: int
     volume: float
@@ -61,7 +61,7 @@ class FlatModelSpectrum:
     def _spectrum(self):
         # on the truncation box, eigenvalues add across factors and
         # multiplicities multiply; equal sums are merged into one entry
-        factors = [_factor(L, c, mult, self.nmax, ()) for L, c, mult in _factors(self)]
+        factors = [_factor(L, *f, self.nmax, ()) for L, f in zip(self.lengths, self.factors)]
         grid = reduce(np.add.outer, [f[0] for f in factors]).ravel()
         weight = reduce(np.multiply.outer, [f[1] for f in factors]).ravel()
         values, inverse = np.unique(grid, return_inverse=True)
@@ -86,14 +86,6 @@ class FlatModelSpectrum:
         ]
 
 
-def _factors(spec):
-    """(L, c, mult) for each one-dimensional factor of a flat model."""
-    kinds = _MODEL_FACTORS.get(spec.model)
-    if kinds is None:
-        raise PreconditionError(f"unknown flat model {spec.model!r}")
-    return [(L, c, mult) for L, (c, mult) in zip(spec.lengths, kinds)]
-
-
 def _factor(L, c, mult, nmax, t_grid):
     """Eigenvalues and multiplicities of one factor, and its tail bound at
     each t of ``t_grid``."""
@@ -104,7 +96,7 @@ def _factor(L, c, mult, nmax, t_grid):
     return values, mults, tails
 
 
-def _flat_model(model, lengths, nmax, what):
+def _flat_model(model, lengths, factors, nmax, what):
     if not all(0 < L < math.inf for L in lengths):
         raise PreconditionError(f"{what} must be finite and positive")
     if nmax < 0:
@@ -113,6 +105,7 @@ def _flat_model(model, lengths, nmax, what):
     return FlatModelSpectrum(
         model=model,
         lengths=lengths,
+        factors=factors,
         nmax=int(nmax),
         dim=len(lengths),
         volume=math.prod(lengths),
@@ -121,18 +114,18 @@ def _flat_model(model, lengths, nmax, what):
 
 def circle_spectrum(L, nmax):
     """Circle of circumference L: eigenvalue (2 pi n / L)^2, double for n >= 1."""
-    return _flat_model("circle", (L,), nmax, "circumference")
+    return _flat_model("circle", (L,), (_CIRCLE,), nmax, "circumference")
 
 
 def interval_neumann_spectrum(L, nmax):
     """Interval of length L with Neumann ends: eigenvalue (pi n / L)^2, simple."""
-    return _flat_model("interval_neumann", (L,), nmax, "length")
+    return _flat_model("interval_neumann", (L,), (_NEUMANN,), nmax, "length")
 
 
 def rect_torus_spectrum(a, b, nmax):
     """Rectangular torus with side lengths a, b: lattice eigenvalues
     (2 pi m / a)^2 + (2 pi n / b)^2 over |m|, |n| <= nmax."""
-    return _flat_model("rect_torus", (a, b), nmax, "torus side lengths")
+    return _flat_model("rect_torus", (a, b), (_CIRCLE, _CIRCLE), nmax, "torus side lengths")
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +135,6 @@ class HeatTraceCurve:
     t_grid: np.ndarray
     values: np.ndarray
     tail_bounds: np.ndarray
-    label: str
 
     def max_tail(self):
         return float(self.tail_bounds.max()) if len(self.tail_bounds) else 0.0
@@ -162,28 +154,23 @@ def _trace_and_tail(spec, t_grid):
     (trace s, trace T + tail s + tail T), starting from (1, 0).
     """
     trace, tail = 1.0, 0.0
-    for L, c, mult in _factors(spec):
-        values, mults, T = _factor(L, c, mult, spec.nmax, t_grid)
+    for L, f in zip(spec.lengths, spec.factors):
+        values, mults, T = _factor(L, *f, spec.nmax, t_grid)
         s = _kernels.heat_sum(values, mults.astype(np.float64), t_grid)
         trace, tail = trace * s, trace * T + tail * s + tail * T
     return trace, tail
 
 
-def tail_bounds(spec, t_grid):
-    """Upper bound on the truncated part of the heat trace at each t."""
-    return _trace_and_tail(spec, np.asarray(t_grid, dtype=np.float64))[1]
-
-
 def _as_value_mult_arrays(spec):
+    """Eigenvalues and multiplicities of any spectrum as float64 arrays:
+    a flat model's listed spectrum, a spectral decomposition's clusters,
+    or a list of (eigenvalue, multiplicity) pairs."""
     if isinstance(spec, FlatModelSpectrum):
-        return spec.eigenvalues, spec.multiplicities.astype(np.float64), spec.model
-    if hasattr(spec, "clusters"):
-        pairs = spec.pairs()
-    else:
-        pairs = list(spec)
+        return spec.eigenvalues, spec.multiplicities.astype(np.float64)
+    pairs = spec.pairs() if hasattr(spec, "clusters") else list(spec)
     values = np.asarray([p[0] for p in pairs], dtype=np.float64)
     mults = np.asarray([p[1] for p in pairs], dtype=np.float64)
-    return values, mults, "finite"
+    return values, mults
 
 
 def heat_trace(spec, t_grid, tol=None):
@@ -202,10 +189,8 @@ def heat_trace(spec, t_grid, tol=None):
     if isinstance(spec, FlatModelSpectrum):
         # a product of factor sums; the eigenvalue list is never built
         trace, tails = _trace_and_tail(spec, t_grid)
-        label = spec.model
     else:
-        values, mults, label = _as_value_mult_arrays(spec)
-        trace = _kernels.heat_sum(values, mults, t_grid)
+        trace = _kernels.heat_sum(*_as_value_mult_arrays(spec), t_grid)
         tails = np.zeros_like(t_grid)
     if tol is not None:
         worst = float(tails.max())
@@ -214,7 +199,7 @@ def heat_trace(spec, t_grid, tol=None):
                 f"truncation error bound {worst:.3e} exceeds tolerance {tol:.3e}; "
                 f"increase nmax"
             )
-    return HeatTraceCurve(t_grid=t_grid, values=trace, tail_bounds=tails, label=label)
+    return HeatTraceCurve(t_grid=t_grid, values=trace, tail_bounds=tails)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,10 +212,6 @@ class SingularityIndicator:
     threshold: float
     residual: float
     tail_bound_max: float
-
-
-def default_detector_grid(t_lo=DETECTOR_T_LO, t_hi=DETECTOR_T_HI, num=33):
-    return np.geomspace(t_lo, t_hi, num)
 
 
 def constant_term_estimate(spec, t_grid=None, threshold=SINGULARITY_THRESHOLD):
@@ -249,7 +230,7 @@ def constant_term_estimate(spec, t_grid=None, threshold=SINGULARITY_THRESHOLD):
             "the constant-term detector applies to one-dimensional flat models"
         )
     if t_grid is None:
-        t_grid = default_detector_grid()
+        t_grid = np.geomspace(DETECTOR_T_LO, DETECTOR_T_HI, 33)
     t_grid = np.sort(np.asarray(t_grid, dtype=np.float64))
     if len(t_grid) < 4:
         raise PreconditionError("need at least 4 sample times for the fit")
@@ -312,9 +293,8 @@ class AudibilityReport:
 def _volume_of(spec):
     if isinstance(spec, FlatModelSpectrum):
         return spec.volume
-    values, mults, _ = _as_value_mult_arrays(spec)
     # a finite graph spectrum recovers its vertex count at t -> 0
-    return float(mults.sum())
+    return float(_as_value_mult_arrays(spec)[1].sum())
 
 
 def spectra_close(spec_a, spec_b, tol=1e-9):
@@ -324,10 +304,10 @@ def spectra_close(spec_a, spec_b, tol=1e-9):
     are compared on their common initial segment.  The lists are not
     written out: the two are compared at every run start of either.
     """
-    run_a, label_a = _runs(spec_a)
-    run_b, label_b = _runs(spec_b)
+    run_a, run_b = _runs(spec_a), _runs(spec_b)
     total_a, total_b = run_a[1][-1], run_b[1][-1]
-    if label_a == label_b == "finite" and total_a != total_b:
+    flat = isinstance(spec_a, FlatModelSpectrum) or isinstance(spec_b, FlatModelSpectrum)
+    if not flat and total_a != total_b:
         return False
     k = min(total_a, total_b)
     if k == 0:
@@ -341,14 +321,14 @@ def spectra_close(spec_a, spec_b, tol=1e-9):
 
 
 def _runs(spec):
-    """(values, bounds) of a spectrum's non-empty runs, and its label;
-    value i fills positions bounds[i] to bounds[i+1] - 1."""
-    values, mults, label = _as_value_mult_arrays(spec)
+    """(values, bounds) of a spectrum's non-empty runs; value i fills
+    positions bounds[i] to bounds[i+1] - 1."""
+    values, mults = _as_value_mult_arrays(spec)
     counts = mults.astype(np.int64)
     if np.any(counts < 0):
         raise PreconditionError("multiplicities must be non-negative")
     bounds = np.concatenate(([0], np.cumsum(counts[counts > 0])))
-    return (values[counts > 0], bounds), label
+    return values[counts > 0], bounds
 
 
 def singularity_audibility_report(
@@ -361,80 +341,61 @@ def singularity_audibility_report(
     indicator_1=None,
     indicator_2=None,
     tol=1e-9,
-    vol_rel_tol=1e-6,
 ):
     """Check the full audibility chain on two covers and their quotients.
 
     ``d1``, ``d2`` are the claimed sheet counts of the coverings
     M1 -> O1 and M2 -> O2.  Indicators may be passed in (graph quotients
     get theirs from freeness of the action); one-dimensional flat models
-    compute their own when omitted.
+    compute their own when omitted.  Failed premises are diagnosed in
+    premise order; unequal sheet counts only when nothing else fails.
     """
     if d1 < 1 or d2 < 1:
         raise PreconditionError("sheet counts must be positive integers")
-    diagnostics = []
-    premises = {}
-
-    covers_iso = spectra_close(spec_m1, spec_m2, tol)
-    premises["covers_isospectral"] = covers_iso
-    if not covers_iso:
-        diagnostics.append(
-            "the covers are not isospectral at the stated tolerance, so the "
-            "argument does not start"
-        )
-
-    quots_iso = spectra_close(spec_o1, spec_o2, tol)
-    premises["quotients_isospectral"] = quots_iso
-    if not quots_iso:
-        diagnostics.append(
-            "the quotient spectra differ, so no common heat expansion exists "
-            "and no singularity comparison is implied"
-        )
-
-    vol_o1, vol_o2 = _volume_of(spec_o1), _volume_of(spec_o2)
-    vol_m1, vol_m2 = _volume_of(spec_m1), _volume_of(spec_m2)
-    rel = lambda x, y: abs(x - y) <= vol_rel_tol * max(abs(x), abs(y), 1.0)
-    towers_ok = rel(vol_m1, d1 * vol_o1) and rel(vol_m2, d2 * vol_o2)
-    premises["volume_towers"] = towers_ok
-    if not towers_ok:
-        diagnostics.append(
-            f"volumes do not match the claimed sheet counts: "
-            f"{vol_m1} vs {d1} * {vol_o1}, {vol_m2} vs {d2} * {vol_o2}"
-        )
-
-    degrees_equal = d1 == d2
-    premises["degrees_equal"] = degrees_equal
-    if covers_iso and quots_iso and towers_ok and not degrees_equal:
-        diagnostics.append(
-            "equal volumes on both floors force equal sheet counts, but "
-            f"{d1} != {d2} was claimed"
-        )
-
-    if indicator_1 is None and isinstance(spec_o1, FlatModelSpectrum) and spec_o1.dim == 1:
-        indicator_1 = constant_term_estimate(spec_o1)
-    if indicator_2 is None and isinstance(spec_o2, FlatModelSpectrum) and spec_o2.dim == 1:
-        indicator_2 = constant_term_estimate(spec_o2)
-
+    vol_o1, vol_o2, vol_m1, vol_m2 = map(_volume_of, (spec_o1, spec_o2, spec_m1, spec_m2))
+    rel = lambda x, y: abs(x - y) <= VOLUME_REL_TOL * max(abs(x), abs(y), 1.0)
+    premises = {
+        "covers_isospectral": spectra_close(spec_m1, spec_m2, tol),
+        "quotients_isospectral": spectra_close(spec_o1, spec_o2, tol),
+        "volume_towers": rel(vol_m1, d1 * vol_o1) and rel(vol_m2, d2 * vol_o2),
+        "degrees_equal": d1 == d2,
+    }
+    failed = [name for name, holds in premises.items() if not holds]
+    messages = {
+        "covers_isospectral": "the covers are not isospectral at the stated "
+        "tolerance, so the argument does not start",
+        "quotients_isospectral": "the quotient spectra differ, so no common heat "
+        "expansion exists and no singularity comparison is implied",
+        "volume_towers": "volumes do not match the claimed sheet counts: "
+        f"{vol_m1} vs {d1} * {vol_o1}, {vol_m2} vs {d2} * {vol_o2}",
+        "degrees_equal": "equal volumes on both floors force equal sheet "
+        f"counts, but {d1} != {d2} was claimed",
+    }
+    diagnostics = [
+        messages[name] for name in failed if name != "degrees_equal" or len(failed) == 1
+    ]
+    indicator_1, indicator_2 = (
+        constant_term_estimate(spec)
+        if given is None and isinstance(spec, FlatModelSpectrum) and spec.dim == 1
+        else given
+        for given, spec in ((indicator_1, spec_o1), (indicator_2, spec_o2))
+    )
     singular_agree = None
-    if indicator_1 is not None and indicator_2 is not None:
-        if "inconclusive" in (indicator_1.verdict, indicator_2.verdict):
-            singular_agree = None
-            diagnostics.append("a singularity verdict is inconclusive")
-        else:
-            singular_agree = indicator_1.verdict == indicator_2.verdict
-            if not singular_agree:
-                diagnostics.append(
-                    f"singularity verdicts differ: {indicator_1.verdict} vs "
-                    f"{indicator_2.verdict}"
-                )
-    else:
+    if indicator_1 is None or indicator_2 is None:
         diagnostics.append(
             "no singularity indicator available for at least one quotient; "
             "only the spectral premises were checked"
         )
+    elif "inconclusive" in (indicator_1.verdict, indicator_2.verdict):
+        diagnostics.append("a singularity verdict is inconclusive")
+    else:
+        singular_agree = indicator_1.verdict == indicator_2.verdict
+        if not singular_agree:
+            diagnostics.append(
+                f"singularity verdicts differ: {indicator_1.verdict} vs "
+                f"{indicator_2.verdict}"
+            )
 
-    premises_ok = covers_iso and quots_iso and towers_ok and degrees_equal
-    consistent = premises_ok and singular_agree is not False
     return AudibilityReport(
         premises=premises,
         diagnostics=tuple(diagnostics),
@@ -442,7 +403,7 @@ def singularity_audibility_report(
         indicator_2=indicator_2,
         degrees=(int(d1), int(d2)),
         singular_agree=singular_agree,
-        consistent=consistent,
+        consistent=not failed and singular_agree is not False,
     )
 
 
@@ -452,11 +413,8 @@ def singularity_audibility_report(
 
 def write_spectrum_json(spec, fh):
     """JSON array of [eigenvalue, multiplicity] pairs, 15 significant digits."""
-    if isinstance(spec, FlatModelSpectrum) or hasattr(spec, "clusters"):
-        pairs = spec.pairs()
-    else:
-        pairs = [[float(v), int(m)] for v, m in spec]
-    pairs = [[float(f"{v:.15g}"), int(m)] for v, m in pairs]
+    values, mults = _as_value_mult_arrays(spec)
+    pairs = [[float(f"{v:.15g}"), int(m)] for v, m in zip(values.tolist(), mults.tolist())]
     json.dump(pairs, fh)
     fh.write("\n")
 

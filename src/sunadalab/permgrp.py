@@ -182,7 +182,7 @@ class PermutationGroup:
         # element tuple of each subgroup -> its number of elements in each
         # conjugacy class, the one fact every character query reads
         self._class_counts = {}
-        # (seed, tol) -> (table, degrees) of each character table that
+        # seed -> (table, degrees) of each character table that
         # ``chartab.character_table`` has computed for the group
         self._character_tables = {}
 

@@ -46,6 +46,10 @@ from .permgrp import (
 
 CLUSTER_TOL_SCALE = 1e-8
 MULT_TOL = 1e-6
+# random_invariant_weights keeps an orbit of pairs as an edge with this
+# probability; perturb_invariant_weights draws its factors from this range
+WEIGHT_KEEP_PROB = 0.7
+PERTURB_RANGE = (0.5, 1.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,19 +185,29 @@ def _generator_rows(G):
 
 def gspace_from_generator_images(G, graph, images):
     """Extend vertex permutations given for the group generators to the
-    whole group by breadth-first factorization, then validate."""
+    whole group by breadth-first factorization, then validate.
+
+    Each image must be a permutation of the n vertices, and each
+    generator must end up acting by its own image: a generator repeated
+    with another image, or an identity generator given a non-identity
+    image, is refused rather than overruled by the walk."""
     if len(images) != len(G.generators):
         raise PreconditionError(
             f"need one vertex permutation per generator: got {len(images)}, "
             f"expected {len(G.generators)}"
         )
     n = graph.n
+    ident = np.arange(n)
     perms = np.full((G.order, n), -1, dtype=np.int32)
-    perms[0] = np.arange(n)
+    perms[0] = ident
     gen_rows = []
-    for gen, img in zip(G.generators, images):
-        img = np.asarray([img(v) if callable(img) else img[v] for v in range(n)])
-        gen_rows.append((G.index_of(gen), img))
+    for i, (gen, img) in enumerate(zip(G.generators, images)):
+        img = np.asarray([img(v) for v in range(n)] if callable(img) else img)
+        if img.shape != (n,) or not np.array_equal(np.sort(img), ident):
+            raise PreconditionError(
+                f"the image of generator {i} is not a permutation of the {n} vertices"
+            )
+        gen_rows.append((G.index_of(gen), img.astype(np.intp)))
     queue = deque([0])
     done = np.zeros(G.order, dtype=bool)
     done[0] = True
@@ -207,6 +221,12 @@ def gspace_from_generator_images(G, graph, images):
                 queue.append(y)
     if not done.all():
         raise PreconditionError("generators do not generate the whole group")
+    for i, (gi, img) in enumerate(gen_rows):
+        if not np.array_equal(perms[gi], img):
+            raise PreconditionError(
+                f"generator {i} repeats an earlier generator or is the identity, "
+                "and its image differs from the one it acts by"
+            )
     perms.flags.writeable = False  # handed over to the space, not copied
     return gspace(G, graph, perms)
 
@@ -270,13 +290,13 @@ def coset_gspace(G, subgroups, weight_seed=0):
     return gspace(G, weighted_graph(w), perms)
 
 
-def random_invariant_weights(perms, n, seed=0, keep_prob=0.7):
+def random_invariant_weights(perms, n, seed=0):
     """Random symmetric weights constant on each orbit of vertex pairs
     under the group that the rows of ``perms`` generate."""
     orbit = _pair_orbits(perms, n)
     rng = np.random.default_rng(seed)
     values = rng.uniform(0.25, 1.0, size=orbit.max(initial=-1) + 1)
-    values[rng.uniform(size=values.shape) > keep_prob] = 0.0
+    values[rng.uniform(size=values.shape) > WEIGHT_KEEP_PROB] = 0.0
     w = np.zeros((n, n))
     mask = orbit >= 0
     w[mask] = values[orbit[mask]]
@@ -319,7 +339,7 @@ def _pair_orbits(perms, n):
     return orbit
 
 
-def perturb_invariant_weights(space, seed=0, low=0.5, high=1.5):
+def perturb_invariant_weights(space, seed=0):
     """Rescale each orbit of edge weights by an independent random factor.
 
     Returns a new G-space on the same action; invariance stays exact, so
@@ -327,7 +347,7 @@ def perturb_invariant_weights(space, seed=0, low=0.5, high=1.5):
     """
     orbit = _pair_orbits(space.vertex_perms[_generator_rows(space.group)], space.n)
     rng = np.random.default_rng(seed)
-    factors = rng.uniform(low, high, size=orbit.max(initial=-1) + 1)
+    factors = rng.uniform(*PERTURB_RANGE, size=orbit.max(initial=-1) + 1)
     w = space.graph.weights.copy()
     mask = orbit >= 0
     w[mask] = w[mask] * factors[orbit[mask]]

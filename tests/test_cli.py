@@ -81,6 +81,23 @@ def test_missing_file_exit_code(capsys):
     assert report["error"]["type"] == "FileNotFoundError"
 
 
+@pytest.mark.parametrize("case", ["group-dir", "group-latin1", "spectrum-dir"])
+def test_unreadable_input_exit_code(case, tmp_path, capsys):
+    # a directory, or a file that is not UTF-8, is exit 2 with a typed
+    # error object, like a missing file, not a traceback
+    latin1 = tmp_path / "latin1.group"
+    latin1.write_bytes("degree 2\n# caf\u00e9\n".encode("latin-1"))
+    argv, kind = {
+        "group-dir": (["group-info", str(tmp_path)], "IsADirectoryError"),
+        "group-latin1": (["group-info", str(latin1)], "UnicodeDecodeError"),
+        "spectrum-dir": (["heat", "--spectrum", str(tmp_path)], "IsADirectoryError"),
+    }[case]
+    code, report = run_cli(argv, capsys)
+    assert code == 2
+    assert report["error"]["type"] == kind
+    assert report["error"]["exit_code"] == 2
+
+
 def test_gassmann_search_s3_empty(capsys):
     code, report = run_cli(["gassmann", S3, "--search", "2"], capsys)
     assert code == 0

@@ -46,8 +46,7 @@ def test_torus_small():
 
 def test_torus_lattice_built_on_first_access():
     spec = hk.rect_torus_spectrum(1.0, 1.5, 30)
-    hk.heat_trace(spec, [1e-3, 1e-1])
-    hk.tail_bounds(spec, [1e-3, 1e-1])
+    hk.heat_trace(spec, [1e-3, 1e-1])  # the trace and its tail bounds
     assert "_spectrum" not in spec.__dict__  # the trace never lists the lattice
     # the construction the lattice list has always had
     m = np.arange(31)
@@ -69,7 +68,6 @@ def test_torus_lattice_built_on_first_access():
     ]:
         spec = maker(1.5, 30)
         hk.heat_trace(spec, [1e-3, 1e-1])
-        hk.tail_bounds(spec, [1e-3, 1e-1])
         assert "_spectrum" not in spec.__dict__
         assert np.array_equal(spec.eigenvalues, values)
         assert np.array_equal(spec.multiplicities, mults)
@@ -366,6 +364,89 @@ def test_audibility_nonisospectral_covers():
     assert not report.consistent
 
 
+_COVERS = (
+    "the covers are not isospectral at the stated tolerance, so the argument "
+    "does not start"
+)
+_QUOTIENTS = (
+    "the quotient spectra differ, so no common heat expansion exists and no "
+    "singularity comparison is implied"
+)
+_NO_INDICATOR = (
+    "no singularity indicator available for at least one quotient; only the "
+    "spectral premises were checked"
+)
+_O = [(0.0, 1), (4.0, 1)]
+_M = [(0.0, 1), (1.0, 2), (3.0, 2), (4.0, 1)]
+_I, _C = hk.interval_neumann_spectrum, hk.circle_spectrum
+
+
+@pytest.mark.parametrize(
+    "inputs, kwargs, diagnostics",
+    [
+        pytest.param(
+            (_O, _O, [(0.0, 1), (1.0, 5)], _M, 3, 3), {}, (_COVERS, _NO_INDICATOR),
+            id="covers",
+        ),
+        pytest.param(
+            (_O, [(0.0, 1), (5.0, 1)], _M, _M, 3, 3), {}, (_QUOTIENTS, _NO_INDICATOR),
+            id="quotients",
+        ),
+        pytest.param(
+            (_O, _O, _M, _M, 2, 2),
+            {},
+            (
+                "volumes do not match the claimed sheet counts: "
+                "6.0 vs 2 * 2.0, 6.0 vs 2 * 2.0",
+                _NO_INDICATOR,
+            ),
+            id="volume",
+        ),
+        pytest.param(
+            # at nmax = 0 every spectrum is the single eigenvalue 0, so the
+            # covers of lengths 6 and 9 pass as isospectral and only the
+            # sheet counts 2 and 3 give the chain away
+            (_I(3.0, 0), _I(3.0, 0), _C(6.0, 0), _C(9.0, 0), 2, 3),
+            {"indicator_1": _smooth_indicator(), "indicator_2": _smooth_indicator()},
+            ("equal volumes on both floors force equal sheet counts, but 2 != 3 was claimed",),
+            id="degrees-alone",
+        ),
+        pytest.param(
+            (_I(3.0, 20000), _C(3.0, 20000), _C(6.0, 20000), _C(7.0, 20000), 2, 3),
+            {},
+            (
+                _COVERS,
+                _QUOTIENTS,
+                "volumes do not match the claimed sheet counts: "
+                "6.0 vs 2 * 3.0, 7.0 vs 3 * 3.0",
+                "singularity verdicts differ: singular vs smooth",
+            ),
+            id="several",
+        ),
+        pytest.param(
+            (_I(3.0, 30), _I(3.0, 30), _C(6.0, 30), _C(6.0, 30), 2, 2),
+            {},
+            ("a singularity verdict is inconclusive",),
+            id="inconclusive",
+        ),
+        pytest.param(
+            (_O, _O, _M, _M, 3, 3),
+            {
+                "indicator_1": _smooth_indicator("smooth"),
+                "indicator_2": _smooth_indicator("singular"),
+            },
+            ("singularity verdicts differ: smooth vs singular",),
+            id="clash",
+        ),
+    ],
+)
+def test_audibility_diagnostics_pinned(inputs, kwargs, diagnostics):
+    # each failed premise in premise order, then the verdict comparison;
+    # the sheet-count message only when no other premise fails
+    report = hk.singularity_audibility_report(*inputs, **kwargs)
+    assert report.diagnostics == diagnostics
+
+
 def test_audibility_rejects_bad_degrees():
     o = [(0.0, 1)]
     with pytest.raises(PreconditionError):
@@ -389,6 +470,26 @@ def test_spectrum_json_accepts_plain_pairs():
     buf = io.StringIO()
     hk.write_spectrum_json([(0.0, 1), (1.5, 3)], buf)
     assert json.loads(buf.getvalue()) == [[0.0, 1], [1.5, 3]]
+
+
+def _written(spec):
+    buf = io.StringIO()
+    hk.write_spectrum_json(spec, buf)
+    return buf.getvalue()
+
+
+def test_spectrum_json_written_from_each_kind():
+    from sunadalab import quotspec as qs
+
+    assert _written(hk.circle_spectrum(1.0, 2)) == (
+        "[[0.0, 1], [39.4784176043574, 2], [157.91367041743, 2]]\n"
+    )
+    decomp = qs.SpectralDecomposition(
+        values=np.array([0.0, 1 / 3, 1 / 3]), clusters=((0.0, 1), (1 / 3, 2)), cluster_tol=1e-8
+    )
+    assert _written(decomp) == "[[0.0, 1], [0.333333333333333, 2]]\n"
+    pairs = [(0, 1), (np.float64(2) / 3, np.int64(2)), (1e-20, 3)]
+    assert _written(pairs) == "[[0.0, 1], [0.666666666666667, 2], [1e-20, 3]]\n"
 
 
 def test_spectrum_json_validation():

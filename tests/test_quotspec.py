@@ -278,6 +278,37 @@ def test_generator_images_wrong_count(z6):
         qs.gspace_from_generator_images(z6, graph, [])
 
 
+def _rotation_group_twice():
+    # Z3 presented by the same 3-cycle twice
+    return sl.generate_group(3, [sl.Permutation([1, 2, 0])] * 2)
+
+
+def test_generator_images_repeated_generator():
+    G = _rotation_group_twice()
+    graph = qs.weighted_graph(_cycle_weights(3))
+    space = qs.gspace_from_generator_images(G, graph, [(1, 2, 0), (1, 2, 0)])
+    assert np.array_equal(space.vertex_perms, np.asarray(G.table))
+    # a second, different image for the same element is not silently dropped
+    with pytest.raises(PreconditionError, match="generator 1 repeats"):
+        qs.gspace_from_generator_images(G, graph, [(1, 2, 0), (2, 0, 1)])
+
+
+def test_generator_images_identity_generator():
+    G = sl.generate_group(3, [sl.Permutation([0, 1, 2]), sl.Permutation([1, 2, 0])])
+    graph = qs.weighted_graph(np.ones((3, 3)) - np.eye(3))
+    qs.gspace_from_generator_images(G, graph, [(0, 1, 2), (1, 2, 0)])
+    with pytest.raises(PreconditionError, match="generator 0 repeats"):
+        qs.gspace_from_generator_images(G, graph, [(1, 0, 2), (1, 2, 0)])
+
+
+@pytest.mark.parametrize("image", [(1, 2), (1, 2, 3), (1, 1, 0), lambda v: v + 1])
+def test_generator_images_must_be_permutations(image):
+    G = _rotation_group_twice()
+    graph = qs.weighted_graph(_cycle_weights(3))
+    with pytest.raises(PreconditionError, match="image of generator 1 is not a permutation"):
+        qs.gspace_from_generator_images(G, graph, [(1, 2, 0), image])
+
+
 def test_vertex_orbits_and_freeness(s3):
     triv = sl.subgroup_generate(s3, [])
     space = qs.coset_gspace(s3, [triv])  # regular action
