@@ -144,21 +144,21 @@ def _table_from_eigenvectors(G, cc, sizes, vecs):
     return ct
 
 
-def multiplicities(ct, values, tol=INTEGRALITY_TOL):
+def multiplicities(ct, values):
     """Multiplicity of every irreducible row inside the class function
     ``values``, or inside each row of a stack of class functions.
 
     Each entry is the pairing (1/|G|) sum_t n_t a_t conj(chi_t) with one
     irreducible chi, n_t the class sizes.  It must be a non-negative
-    integer within ``tol``; the error names the first (character, irrep)
-    that is not.  One class function gives a tuple of ints, a stack an
-    integer array with a row per character.
+    integer within ``INTEGRALITY_TOL``; the error names the first
+    (character, irrep) that is not.  One class function gives a tuple of
+    ints, a stack an integer array with a row per character.
     """
     a = np.asarray(values, dtype=np.complex128)
     sizes = np.asarray(ct.partition.class_sizes, dtype=np.float64)
     m = (np.atleast_2d(a) * sizes) @ ct.table.conj().T / ct.group.order
     m_int = np.round(m.real).astype(np.int64)
-    bad = (m_int < 0) | (np.abs(m - m_int) > tol)
+    bad = (m_int < 0) | (np.abs(m - m_int) > INTEGRALITY_TOL)
     if bad.any():
         char, row = (int(i) for i in np.argwhere(bad)[0])
         raise NonIntegralError(
@@ -199,8 +199,8 @@ def irreps_with_fixed_vectors(ct, K):
     return tuple(np.flatnonzero(induced_multiplicities(ct.group, K, ct)).tolist())
 
 
-def format_complex(z, digits=12):
-    """Render a complex number as ``a+bi`` with the given significant digits."""
+def format_complex(z):
+    """Render a complex number as ``a+bi`` with 12 significant digits."""
     re = float(np.real(z))
     im = float(np.imag(z))
     # normalize signed zeros so equal tables export identically
@@ -208,7 +208,7 @@ def format_complex(z, digits=12):
         re = 0.0
     if im == 0.0:
         im = 0.0
-    return f"{re:.{digits}g}{im:+.{digits}g}i"
+    return f"{re:.12g}{im:+.12g}i"
 
 
 def export_character_table_csv(ct, fh):

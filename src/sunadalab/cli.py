@@ -320,6 +320,7 @@ _COMMON_FLAGS = {
                "representative H"),
     "max_order": (int, DEFAULT_MAX_ORDER, "largest group order to enumerate"),
     "seed": (int, 0, "seed for randomized internals"),
+    "trace_tol": (float, None, "fail if a truncation bound exceeds this"),
     "out": (str, None, "write the report here instead of stdout"),
 }
 
@@ -372,10 +373,7 @@ def build_parser():
     p.add_argument("--t-lo", dest="t_lo", type=float, default=1e-4)
     p.add_argument("--t-hi", dest="t_hi", type=float, default=1e-3)
     p.add_argument("--t-num", dest="t_num", type=int, default=33)
-    p.add_argument("--trace-tol", dest="trace_tol", type=float,
-                   default=_env("TRACE_TOL", float, None),
-                   help="fail if a truncation bound exceeds this")
-    _add_common(p, "nmax", "tol", "out")
+    _add_common(p, "nmax", "tol", "trace_tol", "out")
     p.set_defaults(func=cmd_heat)
 
     return parser
@@ -393,7 +391,7 @@ _EXIT_CODES = (
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        for dest in ("tol", "cluster_tol", "trace_tol"):
+        for dest in ("tol", "cluster_tol", "trace_tol", "seed"):
             value = getattr(args, dest, None)
             if value is not None and not (0 <= value < math.inf):
                 raise PreconditionError(

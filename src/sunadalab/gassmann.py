@@ -26,6 +26,7 @@ from .chartab import (
 )
 from .errors import NotASubgroupError, PreconditionError
 from .permgrp import (
+    DEFAULT_SUBGROUP_BUDGET,
     are_conjugate_subgroups,
     class_intersection_counts,
     conjugate_by_all,
@@ -116,7 +117,7 @@ def gassmann_search(
     m,
     require_nonconjugate=True,
     dedup_conjugate_orbits=False,
-    budget=None,
+    budget=DEFAULT_SUBGROUP_BUDGET,
 ):
     """All almost conjugate unordered pairs of order-m subgroups of G.
 
@@ -126,8 +127,7 @@ def gassmann_search(
     ``dedup_conjugate_orbits`` only one representative pair is kept per
     orbit of simultaneous conjugation.
     """
-    kwargs = {} if budget is None else {"budget": budget}
-    subs, class_ids = subgroup_classes_of_order(G, m, **kwargs)
+    subs, class_ids = subgroup_classes_of_order(G, m, budget)
     buckets = {}
     for H, c in zip(subs, class_ids):
         buckets.setdefault(class_intersection_counts(G, H), []).append((H, c))

@@ -75,16 +75,6 @@ class FlatModelSpectrum:
     def multiplicities(self):
         return self._spectrum[1]
 
-    @property
-    def total_count(self):
-        return int(self.multiplicities.sum())
-
-    def pairs(self):
-        return [
-            [float(v), int(m)]
-            for v, m in zip(self.eigenvalues, self.multiplicities)
-        ]
-
 
 def _factor(L, c, mult, nmax, t_grid):
     """Eigenvalues and multiplicities of one factor, and its tail bound at
@@ -132,7 +122,6 @@ def rect_torus_spectrum(a, b, nmax):
 class HeatTraceCurve:
     """Partial heat trace values with certified truncation error per t."""
 
-    t_grid: np.ndarray
     values: np.ndarray
     tail_bounds: np.ndarray
 
@@ -156,20 +145,20 @@ def _trace_and_tail(spec, t_grid):
     trace, tail = 1.0, 0.0
     for L, f in zip(spec.lengths, spec.factors):
         values, mults, T = _factor(L, *f, spec.nmax, t_grid)
-        s = _kernels.heat_sum(values, mults.astype(np.float64), t_grid)
+        s = _kernels.heat_sum(values, mults, t_grid)
         trace, tail = trace * s, trace * T + tail * s + tail * T
     return trace, tail
 
 
 def _as_value_mult_arrays(spec):
-    """Eigenvalues and multiplicities of any spectrum as float64 arrays:
-    a flat model's listed spectrum, a spectral decomposition's clusters,
+    """Float64 eigenvalues and int64 multiplicities of any spectrum: a
+    flat model's listed spectrum, a spectral decomposition's clusters,
     or a list of (eigenvalue, multiplicity) pairs."""
     if isinstance(spec, FlatModelSpectrum):
-        return spec.eigenvalues, spec.multiplicities.astype(np.float64)
+        return spec.eigenvalues, spec.multiplicities
     pairs = spec.pairs() if hasattr(spec, "clusters") else list(spec)
     values = np.asarray([p[0] for p in pairs], dtype=np.float64)
-    mults = np.asarray([p[1] for p in pairs], dtype=np.float64)
+    mults = np.asarray([p[1] for p in pairs], dtype=np.int64)
     return values, mults
 
 
@@ -180,6 +169,8 @@ def heat_trace(spec, t_grid, tol=None):
     list of (eigenvalue, multiplicity) pairs.  Finite spectra are exact
     (tail zero); flat models carry integral-comparison tail bounds, and
     a requested tolerance that some bound exceeds raises TailBoundError.
+    A finite spectrum whose trace is not finite, as a negative eigenvalue
+    far enough below zero makes it, raises NumericalError.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.ndim != 1 or len(t_grid) == 0:
@@ -190,7 +181,11 @@ def heat_trace(spec, t_grid, tol=None):
         # a product of factor sums; the eigenvalue list is never built
         trace, tails = _trace_and_tail(spec, t_grid)
     else:
-        trace = _kernels.heat_sum(*_as_value_mult_arrays(spec), t_grid)
+        with np.errstate(over="ignore"):
+            trace = _kernels.heat_sum(*_as_value_mult_arrays(spec), t_grid)
+        if not np.all(np.isfinite(trace)):
+            t = t_grid[np.argmin(np.isfinite(trace))]
+            raise NumericalError(f"heat trace is not finite at t = {t:.6g}")
         tails = np.zeros_like(t_grid)
     if tol is not None:
         worst = float(tails.max())
@@ -199,7 +194,7 @@ def heat_trace(spec, t_grid, tol=None):
                 f"truncation error bound {worst:.3e} exceeds tolerance {tol:.3e}; "
                 f"increase nmax"
             )
-    return HeatTraceCurve(t_grid=t_grid, values=trace, tail_bounds=tails)
+    return HeatTraceCurve(values=trace, tail_bounds=tails)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,16 +209,16 @@ class SingularityIndicator:
     tail_bound_max: float
 
 
-def constant_term_estimate(spec, t_grid=None, threshold=SINGULARITY_THRESHOLD):
+def constant_term_estimate(spec, t_grid=None):
     """Estimate the constant term of the small-time heat expansion.
 
     Only meaningful for the one-dimensional models, where the trace is
     volume/sqrt(4 pi t) + constant + exponentially small corrections; the
     constant is the intercept of a linear fit of the detrended trace
     against t over (at least) a decade of small times.  Verdict is
-    ``singular`` when the constant clears the threshold in absolute
-    value, ``smooth`` when it does not, and ``inconclusive`` when the
-    truncation bound or the fit residual is too large to trust either.
+    ``singular`` when the constant clears ``SINGULARITY_THRESHOLD`` in
+    absolute value, ``smooth`` when it does not, and ``inconclusive`` when
+    the truncation bound or the fit residual is too large to trust either.
     """
     if not isinstance(spec, FlatModelSpectrum) or spec.dim != 1:
         raise PreconditionError(
@@ -246,6 +241,7 @@ def constant_term_estimate(spec, t_grid=None, threshold=SINGULARITY_THRESHOLD):
     residual = float(np.max(np.abs(design @ coeffs - detrended)))
     leading = float(curve.values[0] * np.sqrt(4.0 * np.pi * t_grid[0]))
     tail_max = curve.max_tail()
+    threshold = SINGULARITY_THRESHOLD
     if tail_max > threshold / 2.0 or residual > threshold / 2.0:
         verdict = "inconclusive"
     elif abs(constant) > threshold:
@@ -256,7 +252,7 @@ def constant_term_estimate(spec, t_grid=None, threshold=SINGULARITY_THRESHOLD):
         leading=leading,
         constant=constant,
         verdict=verdict,
-        threshold=float(threshold),
+        threshold=threshold,
         residual=residual,
         tail_bound_max=tail_max,
     )
@@ -323,8 +319,7 @@ def spectra_close(spec_a, spec_b, tol=1e-9):
 def _runs(spec):
     """(values, bounds) of a spectrum's non-empty runs; value i fills
     positions bounds[i] to bounds[i+1] - 1."""
-    values, mults = _as_value_mult_arrays(spec)
-    counts = mults.astype(np.int64)
+    values, counts = _as_value_mult_arrays(spec)
     if np.any(counts < 0):
         raise PreconditionError("multiplicities must be non-negative")
     bounds = np.concatenate(([0], np.cumsum(counts[counts > 0])))
@@ -428,6 +423,7 @@ def read_spectrum_json(fh, path=None):
         raise ParseError("spectrum JSON must be an array of pairs", path=path)
     pairs = []
     last = -math.inf
+    total = 0
     for i, item in enumerate(data):
         if (
             not isinstance(item, list)
@@ -445,6 +441,11 @@ def read_spectrum_json(fh, path=None):
             raise ParseError(f"entry {i}: eigenvalue {value} is not finite", path=path)
         if mult < 1:
             raise ParseError(f"entry {i}: multiplicity must be >= 1", path=path)
+        total += mult
+        if total > 2**53:  # int64 counts stay exact in float64 sums up to here
+            raise ParseError(
+                f"entry {i}: multiplicities add up to more than 2**53", path=path
+            )
         if value < last:
             raise ParseError(
                 f"entry {i}: eigenvalues must be non-decreasing", path=path

@@ -174,7 +174,6 @@ class PermutationGroup:
         # every row is a product of validated generators
         self.elements = [Permutation._trusted(row) for row in images.tolist()]
         self._index = {row.tobytes(): i for i, row in enumerate(images)}
-        self._all_subgroups = None
         # element tuple of each subgroup whose class is known -> its least
         # conjugate; classes are entered whole, and the trivial subgroup
         # is a class of its own
@@ -449,9 +448,9 @@ def are_conjugate_subgroups(G, H1, H2):
 def _enumerate_subgroups(G, record, grow, budget, limit):
     """DFS over the subgroup lattice, one representative per conjugacy class.
 
-    Returns the sorted subgroups whose order passes ``record``, for
+    Returns the sorted subgroups whose order passes ``record`` and, for
     each, the id of its conjugacy class in G (ids count the classes in
-    order of their first member), and the number of closures spent.
+    order of their first member).
 
     Each representative H whose order passes ``grow`` is extended to
     <H, g> for one g in every right coset Hg other than H itself, which
@@ -505,7 +504,10 @@ def _enumerate_subgroups(G, record, grow, budget, limit):
             conjugates_of_g = table[normalizer, table[g, normalizer_inv]]
             covered[table[current[:, None], conjugates_of_g]] = True
             closures += 1
-            _check_budget(closures, budget)
+            if closures > budget:
+                raise BudgetExceededError(
+                    f"subgroup enumeration exceeded budget of {budget} closures"
+                )
             grown = tuple(_kernels.closure(table, gens + [g], current, limit).tolist())
             if not grown or grown in known:  # empty: outgrew the limit
                 continue
@@ -518,7 +520,7 @@ def _enumerate_subgroups(G, record, grow, budget, limit):
     members = sorted((e, c) for c, conjugates in enumerate(classes) for e in conjugates)
     first_seen = {}
     class_ids = [first_seen.setdefault(c, len(first_seen)) for _, c in members]
-    return [Subgroup(parent=G, elements=e) for e, _ in members], class_ids, closures
+    return [Subgroup(parent=G, elements=e) for e, _ in members], class_ids
 
 
 def subgroup_classes_of_order(G, m, budget=DEFAULT_SUBGROUP_BUDGET):
@@ -536,7 +538,7 @@ def subgroup_classes_of_order(G, m, budget=DEFAULT_SUBGROUP_BUDGET):
         return [], []
     return _enumerate_subgroups(
         G, lambda n: n == m, lambda n: n < m and m % n == 0, budget, m
-    )[:2]
+    )
 
 
 def subgroups_of_order(G, m, budget=DEFAULT_SUBGROUP_BUDGET):
@@ -545,24 +547,8 @@ def subgroups_of_order(G, m, budget=DEFAULT_SUBGROUP_BUDGET):
 
 
 def all_subgroups(G, budget=DEFAULT_SUBGROUP_BUDGET):
-    """Every subgroup of G, deterministic order.  Their element tuples are
-    cached on the group with the number of closures the enumeration
-    spent, so a later call with a smaller budget still raises."""
-    if G._all_subgroups is None:
-        subgroups, _, closures = _enumerate_subgroups(
-            G, lambda n: True, lambda n: True, budget, G.order
-        )
-        G._all_subgroups = closures, [H.elements for H in subgroups]
-    closures, elements = G._all_subgroups
-    _check_budget(closures, budget)
-    return [Subgroup(parent=G, elements=e) for e in elements]
-
-
-def _check_budget(closures, budget):
-    if closures > budget:
-        raise BudgetExceededError(
-            f"subgroup enumeration exceeded budget of {budget} closures"
-        )
+    """Every subgroup of G, deterministic order."""
+    return _enumerate_subgroups(G, lambda n: True, lambda n: True, budget, G.order)[0]
 
 
 def _check_subgroup(G, H):
@@ -574,16 +560,30 @@ def _check_subgroup(G, H):
 # file formats
 # ---------------------------------------------------------------------------
 
-def _content_lines(text):
+def content_lines(text):
+    """(line number, text) of each line that is not blank once its ``#``
+    comment is stripped; line numbers count from 1."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
 
 
+def parse_permutation_lines(lines, degree, path=None):
+    """(line number, permutation) of each (line number, cycle notation)
+    pair, at the given degree; a line that does not parse is a ParseError
+    naming the line.  Lines are parsed as they are read."""
+    for lineno, line in lines:
+        try:
+            perm = parse_cycles(line, degree)
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno, path=path) from exc
+        yield lineno, perm
+
+
 def parse_group_text(text, max_order=DEFAULT_MAX_ORDER, path=None):
     """Group file: ``degree n`` then one generator per line in cycle notation."""
-    lines = list(_content_lines(text))
+    lines = list(content_lines(text))
     if not lines:
         raise ParseError("empty group file", path=path)
     lineno, header = lines[0]
@@ -593,12 +593,7 @@ def parse_group_text(text, max_order=DEFAULT_MAX_ORDER, path=None):
     degree = int(m.group(1))
     if degree < 1:
         raise ParseError("degree must be positive", line=lineno, path=path)
-    gens = []
-    for lineno, line in lines[1:]:
-        try:
-            gens.append(parse_cycles(line, degree))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno, path=path) from exc
+    gens = [perm for _, perm in parse_permutation_lines(lines[1:], degree, path)]
     return generate_group(degree, gens, max_order=max_order)
 
 
@@ -610,11 +605,7 @@ def load_group_file(path, max_order=DEFAULT_MAX_ORDER):
 def parse_subgroup_text(text, G, path=None):
     """Subgroup file: one element per line in cycle notation; must be closed."""
     indices = []
-    for lineno, line in _content_lines(text):
-        try:
-            perm = parse_cycles(line, G.degree)
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno, path=path) from exc
+    for lineno, perm in parse_permutation_lines(content_lines(text), G.degree, path):
         try:
             indices.append(G.index_of(perm))
         except KeyError as exc:

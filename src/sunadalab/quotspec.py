@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .chartab import (
+    INTEGRALITY_TOL,
     CharacterTable,
     character_table,
     induced_multiplicities,
@@ -38,14 +39,14 @@ from .permgrp import (
     PermutationGroup,
     Subgroup,
     conjugacy_classes,
+    content_lines,
     coset_space,
     orbit_numbering,
-    parse_cycles,
+    parse_permutation_lines,
     subgroup_generate,
 )
 
 CLUSTER_TOL_SCALE = 1e-8
-MULT_TOL = 1e-6
 # random_invariant_weights keeps an orbit of pairs as an edge with this
 # probability; perturb_invariant_weights draws its factors from this range
 WEIGHT_KEEP_PROB = 0.7
@@ -202,7 +203,7 @@ def gspace_from_generator_images(G, graph, images):
     perms[0] = ident
     gen_rows = []
     for i, (gen, img) in enumerate(zip(G.generators, images)):
-        img = np.asarray([img(v) for v in range(n)] if callable(img) else img)
+        img = np.asarray(img)
         if img.shape != (n,) or not np.array_equal(np.sort(img), ident):
             raise PreconditionError(
                 f"the image of generator {i} is not a permutation of the {n} vertices"
@@ -219,8 +220,6 @@ def gspace_from_generator_images(G, graph, images):
                 perms[y] = img[perms[x]]
                 done[y] = True
                 queue.append(y)
-    if not done.all():
-        raise PreconditionError("generators do not generate the whole group")
     for i, (gi, img) in enumerate(gen_rows):
         if not np.array_equal(perms[gi], img):
             raise PreconditionError(
@@ -556,13 +555,13 @@ def isotypic_multiplicities(space, ct=None, cluster_tol=None):
     eigenspace are kept on the space, once per ``cluster_tol``; each call
     pairs them with ``ct`` (default: the group's table), which is a
     clusters x classes product.  Multiplicities must come out as
-    non-negative integers within ``MULT_TOL``, and each cluster's
+    non-negative integers within ``INTEGRALITY_TOL``, and each cluster's
     dimension must equal the degree-weighted sum of its multiplicities.
     """
     if ct is None:
         ct = character_table(space.group)
     decomp, _, traces = _eigenspaces(space, cluster_tol)
-    counts = multiplicities(ct, traces, MULT_TOL)
+    counts = multiplicities(ct, traces)
     dims = counts @ np.asarray(ct.degrees)
     mults = decomp.multiplicities()
     bad = np.flatnonzero(dims != mults)
@@ -673,7 +672,7 @@ def sunada_identity_check(space, H, K=None, ct=None, cluster_tol=None):
     coords = _orbit_basis(space, H).T @ space.laplacian_eigh[1]
     raw = np.add.reduceat(np.sum(coords**2, axis=0), starts)
     lhs = np.round(raw).astype(np.int64)
-    bad = np.flatnonzero(np.abs(raw - lhs) > MULT_TOL)
+    bad = np.flatnonzero(np.abs(raw - lhs) > INTEGRALITY_TOL)
     if bad.size:
         c = int(bad[0])
         raise NonIntegralError(
@@ -757,7 +756,6 @@ class DirichletCells:
     in ``boundary``.
     """
 
-    base_vertex: int
     centers: tuple
     cells: tuple
     boundary: tuple
@@ -804,7 +802,6 @@ def fundamental_domain(space, H=None, base_vertex=0):
         cells.append(tuple(int(v) for v in members))
     boundary = tuple(int(v) for v in np.nonzero(counts > 1)[0])
     return DirichletCells(
-        base_vertex=int(base_vertex),
         centers=tuple(centers),
         cells=tuple(cells),
         boundary=boundary,
@@ -835,11 +832,7 @@ def parse_graph_tsv(text, path=None):
     """
     n_declared = None
     edges = {}
-    lines = [
-        (lineno, raw.split("#", 1)[0].strip())
-        for lineno, raw in enumerate(text.splitlines(), start=1)
-    ]
-    lines = [(no, ln) for no, ln in lines if ln]
+    lines = list(content_lines(text))
     start = 0
     if lines:
         m = re.fullmatch(r"vertices\s+(\d+)", lines[0][1])
@@ -895,22 +888,14 @@ def write_graph_tsv(graph, fh):
 def parse_action_text(text, G, graph, path=None):
     """Action file: one vertex permutation per group generator, in cycle
     notation on the graph's vertex indices."""
-    perms = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            perms.append(parse_cycles(line, graph.n))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno, path=path) from exc
+    perms = [p.images for _, p in parse_permutation_lines(content_lines(text), graph.n, path)]
     if len(perms) != len(G.generators):
         raise ParseError(
             f"found {len(perms)} vertex permutations, expected one per group "
             f"generator ({len(G.generators)})",
             path=path,
         )
-    return gspace_from_generator_images(G, graph, [p.images for p in perms])
+    return gspace_from_generator_images(G, graph, perms)
 
 
 def load_action_file(path, G, graph):

@@ -421,6 +421,9 @@ def test_heat_boolean_spectrum_file(tmp_path, capsys, text):
         ["heat", "--model", "interval:1", "--tol", "inf"],
         ["heat", "--model", "interval:1", "--trace-tol", "nan"],
         ["heat", "--model", "interval:1", "--trace-tol", "-1"],
+        ["group-info", S3, "--seed", "-1"],
+        ["gassmann", S3, "--search", "2", "--seed=-1"],
+        ["sunada", AFF8, AFF8_H1, AFF8_H2, "--seed", "-1"],
     ],
 )
 def test_bad_tolerance_exit_code(capsys, argv):
@@ -428,6 +431,76 @@ def test_bad_tolerance_exit_code(capsys, argv):
     assert code == 3
     assert report["error"]["type"] == "PreconditionError"
     assert "finite and non-negative" in report["error"]["message"]
+
+
+def test_negative_seed_from_env_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("SUNADALAB_SEED", "-1")
+    code, report = run_cli(["group-info", S3], capsys)
+    assert code == 3
+    assert report["error"] == {
+        "type": "PreconditionError",
+        "message": "--seed must be finite and non-negative, got -1",
+        "exit_code": 3,
+    }
+
+
+def _spectrum_files(tmp_path, *mults):
+    paths = []
+    for i, mult in enumerate(mults):
+        path = tmp_path / f"s{i}.json"
+        path.write_text(f"[[0.0, {mult}]]\n")
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize(
+    "mults",
+    [
+        [10**20] * 4,
+        [2**53 + 1, 2**53, 2**53, 2**53],  # 2**53 + 1 and 2**53 are one float64
+        ["9" * 400] * 4,
+    ],
+    ids=["1e20", "2**53+1", "400-digits"],
+)
+def test_heat_audit_refuses_multiplicities_past_2_53(tmp_path, capsys, mults):
+    paths = _spectrum_files(tmp_path, *mults)
+    argv = ["heat", "--audit", "1", "1"]
+    for path in paths:
+        argv += ["--spectrum", path]
+    code, report = run_cli(argv, capsys)
+    assert code == 2
+    assert report["error"]["type"] == "ParseError"
+    assert report["error"]["message"] == (
+        f"{paths[0]}: entry 0: multiplicities add up to more than 2**53"
+    )
+
+
+def test_heat_spectrum_multiplicity_sum_bound(tmp_path, capsys):
+    (edge,) = _spectrum_files(tmp_path, 2**53)
+    code, report = run_cli(["heat", "--spectrum", edge], capsys)
+    assert code == 0
+    assert report["inputs"][0]["count"] == 2**53
+    path = tmp_path / "sum.json"
+    path.write_text(f"[[0.0, {2**52}], [1.0, {2**52 + 1}]]\n")
+    code, report = run_cli(["heat", "--spectrum", str(path)], capsys)
+    assert code == 2
+    assert "entry 1: multiplicities add up to more than 2**53" in report["error"]["message"]
+
+
+def test_heat_trace_overflow_exit_code(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text("[[-1000000.0, 1]]\n")
+    code = main(["heat", "--spectrum", str(path)])
+    out = capsys.readouterr().out
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    report = json.loads(out, parse_constant=refuse)  # no Infinity or NaN
+    assert code == 4
+    assert report["error"]["type"] == "NumericalError"
+    assert report["error"]["exit_code"] == 4
+    assert "not finite" in report["error"]["message"]
 
 
 def test_heat_audit(capsys):

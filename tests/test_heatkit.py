@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sunadalab import _kernels
 from sunadalab import heatkit as hk
 from sunadalab.cli import _normalize
-from sunadalab.errors import ParseError, PreconditionError, TailBoundError
+from sunadalab.errors import NumericalError, ParseError, PreconditionError, TailBoundError
 
 import oracles
 
@@ -22,7 +22,7 @@ def test_circle_small():
     spec = hk.circle_spectrum(2 * np.pi, 2)
     assert np.allclose(spec.eigenvalues, [0.0, 1.0, 4.0])
     assert list(spec.multiplicities) == [1, 2, 2]
-    assert spec.total_count == 5
+    assert spec.multiplicities.sum() == 5
     assert spec.volume == 2 * np.pi
 
 
@@ -59,7 +59,7 @@ def test_torus_lattice_built_on_first_access():
     assert np.array_equal(spec.multiplicities, mults)
     assert spec.multiplicities.dtype == np.int64
     assert spec.eigenvalues is spec.eigenvalues  # cached, not rebuilt
-    assert spec.total_count == 61 * 61
+    assert spec.multiplicities.sum() == 61 * 61
     # the one-dimensional models list nothing for their traces either
     n = np.arange(31)
     for maker, values, mults in [
@@ -179,6 +179,15 @@ def test_torus_trace_allocates_no_lattice():
     assert peak < 1e6  # the (nmax+1)^2 lattice alone would be 32 MB
 
 
+def test_finite_trace_overflow_is_a_numerical_error():
+    # exp(1e6 * 1e-3) overflows float64; no RuntimeWarning escapes either
+    with pytest.raises(NumericalError, match="not finite at t = 0.001"):
+        hk.heat_trace([(-1e6, 1)], [1e-4, 1e-3])
+    # eigensolver noise below zero is a finite trace
+    curve = hk.heat_trace([(-1e-16, 1), (1.0, 2)], [1e-3])
+    assert curve.values[0] == pytest.approx(1.0 + 2.0 * np.exp(-1e-3))
+
+
 def test_trace_tolerance_gate():
     spec = hk.circle_spectrum(2 * np.pi, 5)
     with pytest.raises(TailBoundError) as info:
@@ -278,6 +287,8 @@ def test_spectra_close_variants():
     assert hk.spectra_close(a, b)  # common initial segment
     assert not hk.spectra_close([(0.0, 1)], [(0.0, 2)])  # count mismatch
     assert hk.spectra_close([(0.0, 1), (1.0, 2)], [(0.0, 1), (1.0, 1), (1.0, 1)])
+    # 2**53 + 1 and 2**53 are one float64, but not one count
+    assert not hk.spectra_close([(0.0, 2**53 + 1)], [(0.0, 2**53)])
     with pytest.raises(PreconditionError):
         hk.spectra_close([(0.0, -1)], [(0.0, 1)])
 
@@ -307,7 +318,8 @@ _flat = st.integers(0, 3).map(lambda nmax: hk.circle_spectrum(2 * np.pi, nmax))
 def test_spectra_close_matches_expanded_oracle(spec_a, spec_b, tol):
     def pairs(spec):
         if isinstance(spec, hk.FlatModelSpectrum):
-            return spec.pairs(), False
+            values, mults = spec.eigenvalues.tolist(), spec.multiplicities.tolist()
+            return list(zip(values, mults)), False
         return spec, True
 
     expected = oracles.spectra_close(*pairs(spec_a), *pairs(spec_b), tol)
