@@ -112,7 +112,7 @@ def _table_from_eigenvectors(G, cc, sizes, vecs):
         v = vecs[:, c]
         if abs(v[0]) < 1e-12:
             raise EigenDecompositionError(
-                "eigenvector vanishes on the identity class", class_index=c
+                f"eigenvector vanishes on the identity class (class index {c})"
             )
         omega = v / v[0]
         denom = np.sum(np.abs(omega) ** 2 / sizes)
@@ -182,16 +182,24 @@ def permutation_character(G, H):
     return tuple(G.order * c // (H.order * n) for c, n in zip(counts, sizes))
 
 
+def table_for(G, ct=None):
+    """The character table a query on G pairs with: ``ct`` itself when it
+    is a table of G, G's seed-0 table when ``ct`` is None.  A table of
+    another group object raises NotASubgroupError, even when the groups
+    are equal, since its classes need not be numbered as G's are."""
+    if ct is None:
+        return character_table(G)
+    if ct.group is not G:
+        raise NotASubgroupError("character table belongs to another group object")
+    return ct
+
+
 def induced_multiplicities(G, H, ct=None):
-    """Multiplicity of each irreducible of ``ct`` (default: the table of
-    G) in Ind_H^G 1, the coset representation of G on G/H.  By Frobenius
+    """Multiplicity of each irreducible of ``table_for(G, ct)`` in
+    Ind_H^G 1, the coset representation of G on G/H.  By Frobenius
     reciprocity it is also the dimension of the H-fixed vectors of each
     irreducible, (1/|H|) sum_{h in H} chi(h): one pairing, two readings."""
-    if ct is None:
-        ct = character_table(G)
-    elif ct.group is not G:
-        raise NotASubgroupError("character table belongs to another group object")
-    return multiplicities(ct, permutation_character(G, H))
+    return multiplicities(table_for(G, ct), permutation_character(G, H))
 
 
 def irreps_with_fixed_vectors(ct, K):

@@ -120,7 +120,7 @@ def cmd_group_info(args):
         [chartab.format_complex(z) for z in ct.table[r]]
         for r in range(ct.num_irreps)
     ]
-    report = {
+    return {
         "command": "group-info",
         "group_file": args.group,
         "degree": G.degree,
@@ -133,8 +133,6 @@ def cmd_group_info(args):
         "irrep_degrees": list(ct.degrees),
         "character_table": table_rows,
     }
-    _emit(report, args.out)
-    return 0
 
 
 def cmd_gassmann(args):
@@ -145,7 +143,7 @@ def cmd_gassmann(args):
             raise PreconditionError("--search replaces the subgroup files")
         pairs = gassmann.gassmann_search(G, args.search, budget=args.budget)
         reports = [gassmann.triple_report(G, h1, h2, ct=ct) for h1, h2 in pairs]
-        report = {
+        return {
             "command": "gassmann",
             "group_file": args.group,
             "group_order": G.order,
@@ -153,14 +151,11 @@ def cmd_gassmann(args):
             "num_pairs": len(reports),
             "pairs": reports,
         }
-        _emit(report, args.out)
-        return 0
     if not (args.h1 and args.h2):
         raise PreconditionError("need two subgroup files or --search m")
     H1 = load_subgroup_file(args.h1, G)
     H2 = load_subgroup_file(args.h2, G)
-    _emit(gassmann.triple_report(G, H1, H2, ct=ct), args.out)
-    return 0
+    return gassmann.triple_report(G, H1, H2, ct=ct)
 
 
 def _cayley_space(G, gens_text):
@@ -201,23 +196,21 @@ def cmd_sunada(args):
     id1 = quotspec.sunada_identity_check(space, H1, K, ct=ct, cluster_tol=args.cluster_tol)
     id2 = quotspec.sunada_identity_check(space, H2, K, ct=ct, cluster_tol=args.cluster_tol)
     isospectral = gap <= args.tol
-    report = {
+    return {
         "command": "sunada",
         "group_file": args.group,
         "group_order": G.order,
         "triple": triple,
         "k_order": K.order,
         "k_equivalent": gassmann.k_equivalent(G, H1, H2, K, ct=ct),
-        "spectrum_h1": s1.pairs(),
-        "spectrum_h2": s2.pairs(),
+        "spectrum_h1": s1.clusters,
+        "spectrum_h2": s2.clusters,
         "max_gap": gap if math.isfinite(gap) else "infinite",
         "identity_h1": id1,
         "identity_h2": id2,
         "isospectral": isospectral,
         "verdict": "isospectral" if isospectral else "not isospectral",
     }
-    _emit(report, args.out)
-    return 0
 
 
 # model kind -> (dimension, default nmax, constructor from lengths and nmax)
@@ -249,10 +242,12 @@ def _parse_model(text, nmax):
 
 
 def cmd_heat(args):
-    if not (0 < args.t_lo < math.inf and 0 < args.t_hi < math.inf and args.t_num >= 1):
+    # the grid is one dense array, so --t-num is bounded before it is built
+    if not (0 < args.t_lo < math.inf and 0 < args.t_hi < math.inf
+            and 1 <= args.t_num <= MAX_DENSE_ENTRIES):
         raise PreconditionError(
-            "--t-lo and --t-hi must be finite and positive and --t-num at least 1, "
-            f"got {args.t_lo}, {args.t_hi}, {args.t_num}"
+            "--t-lo and --t-hi must be finite and positive and --t-num from 1 "
+            f"to {MAX_DENSE_ENTRIES:.0e}, got {args.t_lo}, {args.t_hi}, {args.t_num}"
         )
     t_grid = np.geomspace(args.t_lo, args.t_hi, args.t_num)
     inputs = []
@@ -301,8 +296,7 @@ def cmd_heat(args):
             o1, o2, m1, m2, d1, d2, tol=args.tol
         )
         report["audibility"] = audit
-    _emit(report, args.out)
-    return 0
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +391,8 @@ def main(argv=None):
                 raise PreconditionError(
                     f"--{dest.replace('_', '-')} must be finite and non-negative, got {value}"
                 )
-        return args.func(args)
+        _emit(args.func(args), args.out)
+        return 0
     except (SunadaLabError, OSError, UnicodeDecodeError) as exc:
         code = next((c for cls, c in _EXIT_CODES if isinstance(exc, cls)), 1)
         payload = {

@@ -59,12 +59,6 @@ class NonIntegralError(NumericalError):
 class EigenDecompositionError(NumericalError):
     """Simultaneous diagonalization of the class-multiplication matrices failed."""
 
-    def __init__(self, message, class_index=None):
-        self.class_index = class_index
-        if class_index is not None:
-            message = f"{message} (class index {class_index})"
-        super().__init__(message)
-
 
 class TailBoundError(NumericalError):
     """Truncation tail bound exceeds the requested tolerance; increase nmax."""

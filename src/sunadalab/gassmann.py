@@ -18,13 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chartab import (
-    character_table,
     induced_multiplicities,
     irreps_with_fixed_vectors,
     multiplicities,
     permutation_character,
+    table_for,
 )
-from .errors import NotASubgroupError, PreconditionError
+from .errors import PreconditionError
 from .permgrp import (
     DEFAULT_SUBGROUP_BUDGET,
     are_conjugate_subgroups,
@@ -58,16 +58,14 @@ def representation_equivalent(G, H1, H2, ct=None):
     Decided through character multiplicities, independently of the class
     counting in ``almost_conjugate``.
     """
-    if ct is None:
-        ct = character_table(G)
+    ct = table_for(G, ct)
     return induced_multiplicities(G, H1, ct) == induced_multiplicities(G, H2, ct)
 
 
 def k_equivalent(G, H1, H2, K, ct=None):
     """Representation equivalence restricted to the irreducibles with a
     K-fixed vector.  K = trivial subgroup recovers full equivalence."""
-    if ct is None:
-        ct = character_table(G)
+    ct = table_for(G, ct)
     rows = irreps_with_fixed_vectors(ct, K)
     m1 = induced_multiplicities(G, H1, ct)
     m2 = induced_multiplicities(G, H2, ct)
@@ -80,16 +78,13 @@ def triple_report(G, H1, H2, ct=None):
     The counting route and the representation route must agree; a
     disagreement would mean a numerical fault, not a mathematical one,
     so it is raised rather than reported.  ``ct`` is the character table
-    of G to use (default: ``character_table(G)``).
+    of G to use, as ``chartab.table_for`` reads it.
     """
     if H1.order != H2.order:
         raise PreconditionError(
             f"subgroup orders differ: {H1.order} vs {H2.order}"
         )
-    if ct is None:
-        ct = character_table(G)
-    elif ct.group is not G:
-        raise NotASubgroupError("character table belongs to another group object")
+    ct = table_for(G, ct)
     c1 = class_intersection_counts(G, H1)
     c2 = class_intersection_counts(G, H2)
     ac = c1 == c2

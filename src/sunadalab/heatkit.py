@@ -153,10 +153,21 @@ def _trace_and_tail(spec, t_grid):
 def _as_value_mult_arrays(spec):
     """Float64 eigenvalues and int64 multiplicities of any spectrum: a
     flat model's listed spectrum, a spectral decomposition's clusters,
-    or a list of (eigenvalue, multiplicity) pairs."""
+    or a list of (eigenvalue, multiplicity) pairs.  Listed multiplicities
+    must be non-negative integers (not bools) adding up to at most 2**53,
+    where int64 counts stay exact in float64 sums."""
     if isinstance(spec, FlatModelSpectrum):
         return spec.eigenvalues, spec.multiplicities
-    pairs = spec.pairs() if hasattr(spec, "clusters") else list(spec)
+    pairs = list(getattr(spec, "clusters", spec))
+    total = 0
+    for i, (_, m) in enumerate(pairs):
+        if type(m) is bool or not isinstance(m, (int, np.integer)) or m < 0:
+            raise PreconditionError(
+                f"entry {i}: multiplicity {m!r} is not a non-negative integer"
+            )
+        total += int(m)
+        if total > 2**53:
+            raise PreconditionError(f"entry {i}: multiplicities add up to more than 2**53")
     values = np.asarray([p[0] for p in pairs], dtype=np.float64)
     mults = np.asarray([p[1] for p in pairs], dtype=np.int64)
     return values, mults
@@ -320,8 +331,6 @@ def _runs(spec):
     """(values, bounds) of a spectrum's non-empty runs; value i fills
     positions bounds[i] to bounds[i+1] - 1."""
     values, counts = _as_value_mult_arrays(spec)
-    if np.any(counts < 0):
-        raise PreconditionError("multiplicities must be non-negative")
     bounds = np.concatenate(([0], np.cumsum(counts[counts > 0])))
     return values[counts > 0], bounds
 

@@ -22,10 +22,10 @@ import numpy as np
 from .chartab import (
     INTEGRALITY_TOL,
     CharacterTable,
-    character_table,
     induced_multiplicities,
     irreps_with_fixed_vectors,
     multiplicities,
+    table_for,
 )
 from .errors import (
     DisconnectedGraphError,
@@ -47,7 +47,7 @@ from .permgrp import (
 )
 
 CLUSTER_TOL_SCALE = 1e-8
-# random_invariant_weights keeps an orbit of pairs as an edge with this
+# coset_gspace keeps an orbit of pairs as an edge with this
 # probability; perturb_invariant_weights draws its factors from this range
 WEIGHT_KEEP_PROB = 0.7
 PERTURB_RANGE = (0.5, 1.5)
@@ -284,22 +284,15 @@ def coset_gspace(G, subgroups, weight_seed=0):
     for cs in spaces:
         perms[:, offset : offset + cs.num_cosets] = cs.action + offset
         offset += cs.num_cosets
-    w = random_invariant_weights(perms[_generator_rows(G)], n, seed=weight_seed)
-    perms.flags.writeable = False  # handed over to the space, not copied
-    return gspace(G, weighted_graph(w), perms)
-
-
-def random_invariant_weights(perms, n, seed=0):
-    """Random symmetric weights constant on each orbit of vertex pairs
-    under the group that the rows of ``perms`` generate."""
-    orbit = _pair_orbits(perms, n)
-    rng = np.random.default_rng(seed)
+    orbit = _pair_orbits(perms[_generator_rows(G)], n)
+    rng = np.random.default_rng(weight_seed)
     values = rng.uniform(0.25, 1.0, size=orbit.max(initial=-1) + 1)
     values[rng.uniform(size=values.shape) > WEIGHT_KEEP_PROB] = 0.0
     w = np.zeros((n, n))
     mask = orbit >= 0
     w[mask] = values[orbit[mask]]
-    return w
+    perms.flags.writeable = False  # handed over to the space, not copied
+    return gspace(G, weighted_graph(w), perms)
 
 
 def _pair_orbits(perms, n):
@@ -380,9 +373,6 @@ class SpectralDecomposition:
 
     def multiplicities(self):
         return tuple(m for _, m in self.clusters)
-
-    def pairs(self):
-        return [[float(v), int(m)] for v, m in self.clusters]
 
 
 def default_cluster_tol(values):
@@ -513,7 +503,6 @@ class IsotypicTable:
     eigenspace of cluster c.
     """
 
-    space: GSpace
     chartable: CharacterTable
     decomposition: SpectralDecomposition
     counts: np.ndarray
@@ -553,13 +542,12 @@ def isotypic_multiplicities(space, ct=None, cluster_tol=None):
 
     The traces of one representative per conjugacy class on each
     eigenspace are kept on the space, once per ``cluster_tol``; each call
-    pairs them with ``ct`` (default: the group's table), which is a
+    pairs them with ``table_for(space.group, ct)``, which is a
     clusters x classes product.  Multiplicities must come out as
     non-negative integers within ``INTEGRALITY_TOL``, and each cluster's
     dimension must equal the degree-weighted sum of its multiplicities.
     """
-    if ct is None:
-        ct = character_table(space.group)
+    ct = table_for(space.group, ct)
     decomp, _, traces = _eigenspaces(space, cluster_tol)
     counts = multiplicities(ct, traces)
     dims = counts @ np.asarray(ct.degrees)
@@ -571,9 +559,7 @@ def isotypic_multiplicities(space, ct=None, cluster_tol=None):
             f"cluster {c}: isotypic dimensions sum to {dims[c]}, expected "
             f"{mults[c]}; clusters may be split too finely"
         )
-    return IsotypicTable(
-        space=space, chartable=ct, decomposition=decomp, counts=counts
-    )
+    return IsotypicTable(chartable=ct, decomposition=decomp, counts=counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -653,8 +639,7 @@ def sunada_identity_check(space, H, K=None, ct=None, cluster_tol=None):
     G = space.group
     if K is None:
         K = subgroup_generate(G, [])
-    if ct is None:
-        ct = character_table(G)
+    ct = table_for(G, ct)
     counts = isotypic_multiplicities(space, ct=ct, cluster_tol=cluster_tol).counts
     k_rows = irreps_with_fixed_vectors(ct, K)
     rows = np.asarray(k_rows, dtype=np.intp)
@@ -712,8 +697,7 @@ class DonnellyReport:
 
 
 def donnelly_support(space, ct=None, cluster_tol=None):
-    if ct is None:
-        ct = character_table(space.group)
+    ct = table_for(space.group, ct)
     table = isotypic_multiplicities(space, ct=ct, cluster_tol=cluster_tol)
     observed = table.supported_rows()
     label, _ = _orbit_labels(space, None)

@@ -343,3 +343,42 @@ def test_structure_constants_memory():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_table_for_picks_and_checks(aff8):
+    own = ch.character_table(aff8, seed=1)
+    assert ch.table_for(aff8, own) is own
+    assert ch.table_for(aff8).table is ch.character_table(aff8, seed=0).table
+    with pytest.raises(NotASubgroupError, match="another group object"):
+        ch.table_for(sl.load_bundled_group("aff8"), own)
+
+
+# every query that pairs with a character table, called on aff8 as (G, H1, H2, space, ct)
+_QUERIES = {
+    "induced_multiplicities": lambda G, H1, H2, X, ct: ch.induced_multiplicities(G, H1, ct),
+    "representation_equivalent": lambda G, H1, H2, X, ct: gs.representation_equivalent(
+        G, H1, H2, ct
+    ),
+    "k_equivalent": lambda G, H1, H2, X, ct: gs.k_equivalent(G, H1, H2, H1, ct),
+    "triple_report": lambda G, H1, H2, X, ct: gs.triple_report(G, H1, H2, ct),
+    "isotypic_multiplicities": lambda G, H1, H2, X, ct: sl.isotypic_multiplicities(X, ct=ct),
+    "equivariantly_isospectral": lambda G, H1, H2, X, ct: sl.equivariantly_isospectral(
+        X, X, ct=ct
+    ),
+    "sunada_identity_check": lambda G, H1, H2, X, ct: sl.sunada_identity_check(X, H1, ct=ct),
+    "donnelly_support": lambda G, H1, H2, X, ct: sl.donnelly_support(X, ct=ct),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_QUERIES))
+def test_query_refuses_a_table_of_another_group(name, aff8_triple, s4):
+    # a second aff8 object has an equal table but classes of its own;
+    # the s4 table has another number of classes
+    G, H1, H2 = aff8_triple
+    space = sl.cayley_graph(G)
+    for other in (sl.load_bundled_group("aff8"), s4):
+        with pytest.raises(
+            NotASubgroupError, match="character table belongs to another group object"
+        ):
+            _QUERIES[name](G, H1, H2, space, ch.character_table(other))
+    _QUERIES[name](G, H1, H2, space, ch.character_table(G, seed=1))

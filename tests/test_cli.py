@@ -375,6 +375,8 @@ def test_heat_circle_guard(capsys, monkeypatch):
         ["--t-hi", "inf"],
         ["--t-lo", "nan"],
         ["--t-num", "-1"],
+        # one past the cap: refused before the grid is allocated
+        ["--t-num", str(int(cli.MAX_DENSE_ENTRIES) + 1)],
     ],
 )
 def test_heat_bad_time_grid(capsys, argv):
@@ -559,6 +561,21 @@ def test_bundled_report_matches_reference(name, capsys, monkeypatch):
     assert main(WORKLOADS.CLI_COMMANDS[name]) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (WORKLOADS.REFS / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.CLI_COMMANDS))
+def test_out_file_holds_the_printed_bytes(name, tmp_path, capsys, monkeypatch):
+    # the commands cover all four subcommands
+    for var in [v for v in os.environ if v.startswith("SUNADALAB_")]:
+        monkeypatch.delenv(var)
+    monkeypatch.chdir(ROOT)
+    argv = WORKLOADS.CLI_COMMANDS[name]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "report.json"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == printed.encode("utf-8")
 
 
 _RUN_BUNDLED = """

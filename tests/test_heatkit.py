@@ -287,10 +287,20 @@ def test_spectra_close_variants():
     assert hk.spectra_close(a, b)  # common initial segment
     assert not hk.spectra_close([(0.0, 1)], [(0.0, 2)])  # count mismatch
     assert hk.spectra_close([(0.0, 1), (1.0, 2)], [(0.0, 1), (1.0, 1), (1.0, 1)])
-    # 2**53 + 1 and 2**53 are one float64, but not one count
-    assert not hk.spectra_close([(0.0, 2**53 + 1)], [(0.0, 2**53)])
+    # 2**53 + 1 and 2**53 are one float64, so counts past 2**53 are refused
+    with pytest.raises(PreconditionError, match=r"more than 2\*\*53"):
+        hk.spectra_close([(0.0, 2**53 + 1)], [(0.0, 2**53)])
     with pytest.raises(PreconditionError):
         hk.spectra_close([(0.0, -1)], [(0.0, 1)])
+
+
+@pytest.mark.parametrize("mult", [1.5, -3, 2.7, 10**20, True, np.float64(2.0)])
+def test_listed_multiplicities_must_be_counts(mult):
+    # a fraction or a bool was cast to int64 and a huge count overflowed
+    with pytest.raises(PreconditionError, match="entry 1"):
+        hk.heat_trace([(0.0, 1), (1.0, mult)], [1e-3])
+    with pytest.raises(PreconditionError, match="entry 1"):
+        hk.spectra_close([(0.0, 1), (1.0, mult)], [(0.0, 1), (1.0, 2)])
 
 
 _VALUES = (0.0, 1.0, 1.0 + 1e-12, 4.0, 9.0)

@@ -1,6 +1,8 @@
 """Module boundaries inside the package: no module reaches into another
 module's underscore names, so a name shared across modules is public.
-The ``_kernels`` module itself may be imported."""
+The ``_kernels`` module itself may be imported.  The character table a
+query pairs with is chosen in one place, ``chartab.table_for``: no other
+code calls ``character_table`` without a seed."""
 
 import ast
 from pathlib import Path
@@ -58,3 +60,43 @@ def test_rule_catches_both_forms():
         (2, "permgrp._record_class"),
         (4, "permgrp._class_label"),
     ]
+
+
+def _unseeded_tables(tree, owner=None):
+    """Line of each ``character_table(...)`` call that passes no seed,
+    outside the function named ``owner``."""
+    exempt = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == owner
+        for node in ast.walk(fn)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "character_table"
+        and len(node.args) < 2
+        and not any(kw.arg == "seed" for kw in node.keywords)
+        and id(node) not in exempt
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_table_for_picks_the_default_table(path):
+    owner = "table_for" if path.name == "chartab.py" else None
+    assert _unseeded_tables(ast.parse(path.read_text(encoding="utf-8")), owner) == []
+
+
+def test_table_rule_catches_unseeded_calls():
+    source = (
+        "character_table(G)\n"
+        "chartab.character_table(G, seed=1)\n"
+        "character_table(G, 0)\n"
+        "chartab.character_table(G)\n"
+        "def table_for(G):\n"
+        "    return character_table(G)\n"
+    )
+    tree = ast.parse(source)
+    assert _unseeded_tables(tree) == [1, 4, 6]
+    assert _unseeded_tables(tree, "table_for") == [1, 4]
