@@ -14,11 +14,12 @@ random draws are retried with fresh coefficients.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigenDecompositionError, NonIntegralError, NotASubgroupError
+from .errors import EigenDecompositionError, NonIntegralError, NotASubgroupError, PreconditionError
 from .permgrp import (
     ConjugacyClassPartition,
     PermutationGroup,
@@ -74,23 +75,28 @@ def structure_constants(G):
 def character_table(G, seed=0):
     """Character table of G, deterministic for a fixed seed.
 
+    The combination coefficients are Gaussian draws from one
+    ``random.Random(seed)`` stream, each attempt taking the next k.
     Each table is kept on the group under its seed, so a later call
-    with the same seed does no eigendecomposition.  Raises
-    EigenDecompositionError if no random class-matrix combination
-    produces a verified table within ``MAX_ATTEMPTS`` draws.
+    with the same seed does no eigendecomposition.  A seed that is not
+    a non-negative int raises PreconditionError (``random.Random``
+    would seed -1 as 1), and EigenDecompositionError is raised if no
+    combination produces a verified table within ``MAX_ATTEMPTS`` draws.
     """
     cc = conjugacy_classes(G)
     cached = G._character_tables.get(seed)
     if cached is not None:
         table, degrees = cached
         return CharacterTable(group=G, partition=cc, table=table, degrees=degrees)
+    if type(seed) is not int or seed < 0:
+        raise PreconditionError(f"seed must be a non-negative int, got {seed!r}")
     a = structure_constants(G)
     sizes = np.asarray(cc.class_sizes, dtype=np.float64)
     k = cc.num_classes
+    rng = random.Random(seed)
     last_error = None
-    for attempt in range(MAX_ATTEMPTS):
-        rng = np.random.default_rng([seed, attempt])
-        coeffs = rng.normal(size=k)
+    for _ in range(MAX_ATTEMPTS):
+        coeffs = np.array([rng.gauss(0.0, 1.0) for _ in range(k)])
         combined = np.tensordot(coeffs, a, axes=1)
         _, vecs = np.linalg.eig(combined)
         try:

@@ -290,6 +290,18 @@ def cmd_heat(args):
             raise PreconditionError(
                 "--audit needs exactly four inputs: quotient1 quotient2 cover1 cover2"
             )
+        # spectra_close lists the lattice of every flat model and keeps it,
+        # so the lattices are bounded together before any is built
+        lattice = sum(
+            (spec.nmax + 1) ** spec.dim
+            for _, spec in inputs
+            if isinstance(spec, heatkit.FlatModelSpectrum)
+        )
+        if lattice > MAX_DENSE_ENTRIES:
+            raise PreconditionError(
+                f"--audit would list {lattice} lattice entries for its flat "
+                f"models, more than {MAX_DENSE_ENTRIES:.0e}; lower --nmax"
+            )
         d1, d2 = args.audit
         (_, o1), (_, o2), (_, m1), (_, m2) = inputs
         audit = heatkit.singularity_audibility_report(

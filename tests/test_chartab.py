@@ -1,4 +1,5 @@
 import io
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -11,7 +12,12 @@ import oracles
 import sunadalab as sl
 from sunadalab import chartab as ch
 from sunadalab import gassmann as gs
-from sunadalab.errors import NonIntegralError, NotASubgroupError
+from sunadalab.errors import (
+    EigenDecompositionError,
+    NonIntegralError,
+    NotASubgroupError,
+    PreconditionError,
+)
 
 
 def _gram_deviation(ct):
@@ -81,6 +87,34 @@ def test_tables_cached_per_seed(monkeypatch):
     assert len(builds) == 2
     assert np.array_equal(tables[0].table, tables[2].table)
     assert np.array_equal(tables[1].table, tables[3].table)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
+def test_seed_must_be_a_non_negative_int(seed):
+    # random.Random would seed -1 as 1 and accept the other three
+    with pytest.raises(PreconditionError, match="non-negative int"):
+        ch.character_table(sl.load_bundled_group("s3"), seed=seed)
+
+
+def test_retries_take_the_next_draws_of_one_stream(monkeypatch):
+    # every attempt combines the class matrices with the next k draws of
+    # random.Random(seed); after MAX_ATTEMPTS failures the table is given up
+    G = sl.load_bundled_group("s3")
+    seen = []
+
+    def reject(G, cc, sizes, vecs):
+        seen.append(vecs)
+        raise EigenDecompositionError("rejected")
+
+    monkeypatch.setattr(ch, "_table_from_eigenvectors", reject)
+    with pytest.raises(EigenDecompositionError, match=f"after {ch.MAX_ATTEMPTS} attempts: rejected"):
+        ch.character_table(G, seed=5)
+    assert len(seen) == ch.MAX_ATTEMPTS
+    a = ch.structure_constants(G)
+    rng = random.Random(5)
+    for vecs in seen:
+        coeffs = [rng.gauss(0.0, 1.0) for _ in range(len(a))]
+        assert np.array_equal(vecs, np.linalg.eig(np.tensordot(coeffs, a, axes=1))[1])
 
 
 def test_aff8_degrees(aff8):

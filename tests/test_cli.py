@@ -357,6 +357,29 @@ def test_heat_torus_lattice_guard(capsys):
     assert "nmax" in report["error"]["message"]
 
 
+def _four_torus_audit(nmax):
+    argv = ["heat", "--nmax", str(nmax), "--audit", "2", "2"]
+    for lengths in ("1:1.5", "1:1.5", "2:1.5", "2:1.5"):
+        argv += ["--model", "torus:" + lengths]
+    return argv
+
+
+def test_heat_audit_lattice_guard(capsys, monkeypatch):
+    # each torus passes its own guard, but the audit would list all four
+    # lattices: the smallest nmax past the cap is refused before any is built
+    nmax = 3162
+    assert 4 * nmax**2 <= cli.MAX_DENSE_ENTRIES < 4 * (nmax + 1) ** 2
+    code, report = run_cli(_four_torus_audit(nmax), capsys)
+    assert code == 3
+    assert report["error"]["type"] == "PreconditionError"
+    assert "lower --nmax" in report["error"]["message"]
+    monkeypatch.setattr(cli, "MAX_DENSE_ENTRIES", 4 * 11**2)
+    code, report = run_cli(_four_torus_audit(10), capsys)
+    assert code == 0
+    code, report = run_cli(_four_torus_audit(11), capsys)
+    assert code == 3
+
+
 def test_heat_circle_guard(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_DENSE_ENTRIES", 100)
     code, report = run_cli(["heat", "--model", "circle:1", "--nmax", "100"], capsys)
@@ -524,10 +547,7 @@ def test_heat_audit(capsys):
     assert audit["indicator_1"]["verdict"] == "singular"
     assert audit["indicator_2"]["verdict"] == "singular"
     # the flat tori have no singularity indicator
-    argv = ["heat", "--nmax", "60", "--audit", "2", "2"]
-    for lengths in ("1:1.5", "1:1.5", "2:1.5", "2:1.5"):
-        argv += ["--model", "torus:" + lengths]
-    code, report = run_cli(argv, capsys)
+    code, report = run_cli(_four_torus_audit(60), capsys)
     assert code == 0
     audit = report["audibility"]
     assert audit["indicator_1"] is None
@@ -586,13 +606,18 @@ for name, argv in json.loads(sys.argv[1]).items():
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = main(argv)
     outputs[name] = [code, out.getvalue()]
-print(json.dumps({"outputs": outputs, "numpy.ma": "numpy.ma" in sys.modules}))
+print(json.dumps({
+    "outputs": outputs,
+    "numpy.ma": "numpy.ma" in sys.modules,
+    "numpy.random": "numpy.random" in sys.modules,
+}))
 """
 
 
 def test_bundled_commands_do_not_import_numpy_ma():
     # numpy.ma costs about 16 ms of import and 0.8 MB of memory; np.unique
-    # with axis= and np.setdiff1d import it on first use
+    # with axis= and np.setdiff1d import it on first use.  numpy.random
+    # costs about 15 ms and 6 MB; only seeded weights use its generator
     env = {k: v for k, v in os.environ.items() if not k.startswith("SUNADALAB_")}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
@@ -608,6 +633,7 @@ def test_bundled_commands_do_not_import_numpy_ma():
         assert out.encode("utf-8") == (WORKLOADS.REFS / f"{name}.out").read_bytes(), name
     assert sorted(result["outputs"]) == sorted(WORKLOADS.CLI_COMMANDS)
     assert result["numpy.ma"] is False
+    assert result["numpy.random"] is False
 
 
 def test_env_overrides(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,10 @@
 module's underscore names, so a name shared across modules is public.
 The ``_kernels`` module itself may be imported.  The character table a
 query pairs with is chosen in one place, ``chartab.table_for``: no other
-code calls ``character_table`` without a seed."""
+code calls ``character_table`` without a seed.  numpy's generator is used
+only for seeded weights, in ``quotspec.coset_gspace`` and
+``quotspec.perturb_invariant_weights``, so a process that only builds
+character tables never imports ``numpy.random``."""
 
 import ast
 from pathlib import Path
@@ -62,15 +65,20 @@ def test_rule_catches_both_forms():
     ]
 
 
+def _nodes_inside(tree, names):
+    """Ids of the nodes inside the functions named in ``names``."""
+    return {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name in names
+        for node in ast.walk(fn)
+    }
+
+
 def _unseeded_tables(tree, owner=None):
     """Line of each ``character_table(...)`` call that passes no seed,
     outside the function named ``owner``."""
-    exempt = {
-        id(node)
-        for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef) and fn.name == owner
-        for node in ast.walk(fn)
-    }
+    exempt = _nodes_inside(tree, (owner,))
     return [
         node.lineno
         for node in ast.walk(tree)
@@ -100,3 +108,51 @@ def test_table_rule_catches_unseeded_calls():
     tree = ast.parse(source)
     assert _unseeded_tables(tree) == [1, 4, 6]
     assert _unseeded_tables(tree, "table_for") == [1, 4]
+
+
+# module -> functions that may use numpy's generator
+NUMPY_GENERATOR_OWNERS = {"quotspec.py": ("coset_gspace", "perturb_invariant_weights")}
+
+
+def _numpy_random_uses(tree, owners=()):
+    """Line of each reference to ``np.random`` or ``numpy.random``, as an
+    attribute or in an import, outside the functions named in ``owners``."""
+    exempt = _nodes_inside(tree, owners)
+    is_random = lambda name: name.split(".")[:2] == ["numpy", "random"]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy")
+        elif isinstance(node, ast.Import):
+            hit = any(is_random(alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = is_random(node.module or "") or node.module == "numpy" and any(
+                alias.name == "random" for alias in node.names
+            )
+        else:
+            hit = False
+        if hit and id(node) not in exempt:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_seeded_weights_use_numpy_random(path):
+    owners = NUMPY_GENERATOR_OWNERS.get(path.name, ())
+    assert _numpy_random_uses(ast.parse(path.read_text(encoding="utf-8")), owners) == []
+
+
+def test_numpy_random_rule_catches_both_spellings():
+    source = (
+        "np.random.default_rng(0)\n"
+        "numpy.random.normal()\n"
+        "import numpy.random\n"
+        "from numpy import random\n"
+        "from numpy.random import default_rng\n"
+        "random.Random(0).gauss(0.0, 1.0)\n"
+        "def coset_gspace(seed):\n"
+        "    return np.random.default_rng(seed)\n"
+    )
+    tree = ast.parse(source)
+    assert _numpy_random_uses(tree) == [1, 2, 3, 4, 5, 8]
+    assert _numpy_random_uses(tree, ("coset_gspace",)) == [1, 2, 3, 4, 5]
