@@ -46,7 +46,6 @@ from .chartab import (
     CharacterTable,
     abstract_table_fingerprint,
     character_table,
-    export_character_table_csv,
     induced_multiplicities,
     irreps_with_fixed_vectors,
     multiplicities,
@@ -79,21 +78,16 @@ from .quotspec import (
     equivariantly_isospectral,
     fundamental_domain,
     gspace,
-    gspace_from_generator_images,
     invariant_spectrum,
     is_free,
     isotypic_multiplicities,
     laplacian,
-    load_action_file,
-    load_graph_file,
-    parse_graph_tsv,
     perturb_invariant_weights,
     quotient_graph,
     spectrum,
     sunada_identity_check,
     vertex_orbits,
     weighted_graph,
-    write_graph_tsv,
 )
 from .heatkit import (
     AudibilityReport,

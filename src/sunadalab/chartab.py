@@ -79,17 +79,18 @@ def character_table(G, seed=0):
     ``random.Random(seed)`` stream, each attempt taking the next k.
     Each table is kept on the group under its seed, so a later call
     with the same seed does no eigendecomposition.  A seed that is not
-    a non-negative int raises PreconditionError (``random.Random``
-    would seed -1 as 1), and EigenDecompositionError is raised if no
+    a non-negative int raises PreconditionError before the cache is
+    read (``random.Random`` would seed -1 as 1, and True or 1.0 would
+    find the table of seed 1), and EigenDecompositionError is raised if no
     combination produces a verified table within ``MAX_ATTEMPTS`` draws.
     """
+    if type(seed) is not int or seed < 0:
+        raise PreconditionError(f"seed must be a non-negative int, got {seed!r}")
     cc = conjugacy_classes(G)
     cached = G._character_tables.get(seed)
     if cached is not None:
         table, degrees = cached
         return CharacterTable(group=G, partition=cc, table=table, degrees=degrees)
-    if type(seed) is not int or seed < 0:
-        raise PreconditionError(f"seed must be a non-negative int, got {seed!r}")
     a = structure_constants(G)
     sizes = np.asarray(cc.class_sizes, dtype=np.float64)
     k = cc.num_classes
@@ -223,22 +224,6 @@ def format_complex(z):
     if im == 0.0:
         im = 0.0
     return f"{re:.12g}{im:+.12g}i"
-
-
-def export_character_table_csv(ct, fh):
-    """Write the table as CSV: one row per irreducible character.
-
-    Columns are conjugacy classes labelled by a representative in cycle
-    notation; values are ``a+bi`` with 12 significant digits.
-    """
-    from .permgrp import cycle_string
-
-    reps = [cycle_string(ct.group.elements[r]) for r in ct.partition.representatives]
-    fh.write("degree," + ",".join(reps) + "\n")
-    fh.write("size," + ",".join(str(s) for s in ct.partition.class_sizes) + "\n")
-    for r in range(ct.num_irreps):
-        cells = [format_complex(z) for z in ct.table[r]]
-        fh.write(f"{ct.degrees[r]}," + ",".join(cells) + "\n")
 
 
 def abstract_table_fingerprint(ct):

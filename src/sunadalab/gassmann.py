@@ -29,7 +29,6 @@ from .permgrp import (
     DEFAULT_SUBGROUP_BUDGET,
     are_conjugate_subgroups,
     class_intersection_counts,
-    conjugate_by_all,
     subgroup_classes_of_order,
 )
 
@@ -107,20 +106,10 @@ def triple_report(G, H1, H2, ct=None):
     )
 
 
-def gassmann_search(
-    G,
-    m,
-    require_nonconjugate=True,
-    dedup_conjugate_orbits=False,
-    budget=DEFAULT_SUBGROUP_BUDGET,
-):
-    """All almost conjugate unordered pairs of order-m subgroups of G.
-
-    Pairs are returned in a deterministic order.  With
-    ``require_nonconjugate`` (the default) conjugate pairs are dropped,
-    since those are almost conjugate for a boring reason.  With
-    ``dedup_conjugate_orbits`` only one representative pair is kept per
-    orbit of simultaneous conjugation.
+def gassmann_search(G, m, budget=DEFAULT_SUBGROUP_BUDGET):
+    """All almost conjugate unordered pairs of order-m subgroups of G, in
+    a deterministic order.  Conjugate pairs are dropped, since those are
+    almost conjugate for a boring reason.
     """
     subs, class_ids = subgroup_classes_of_order(G, m, budget)
     buckets = {}
@@ -132,28 +121,6 @@ def gassmann_search(
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
                 (H1, c1), (H2, c2) = group[i], group[j]
-                if require_nonconjugate and c1 == c2:
-                    continue
-                pairs.append((H1, H2))
-    if dedup_conjugate_orbits:
-        pairs = _dedup_orbits(G, pairs)
+                if c1 != c2:
+                    pairs.append((H1, H2))
     return pairs
-
-
-def _dedup_orbits(G, pairs):
-    """The first pair of each orbit under simultaneous conjugation.  Each
-    distinct subgroup is conjugated by all of G once; with an id for each
-    conjugate, the least sorted id pair of g (H1, H2) g^-1 names the orbit."""
-    ids, conjugates = {}, {}
-    for elements, H in {H.elements: H for pair in pairs for H in pair}.items():
-        columns = conjugate_by_all(G, H).T.tolist()
-        conjugates[elements] = np.array([ids.setdefault(tuple(c), len(ids)) for c in columns])
-    seen = set()
-    kept = []
-    for H1, H2 in pairs:
-        a, b = conjugates[H1.elements], conjugates[H2.elements]
-        key = int((np.minimum(a, b) * len(ids) + np.maximum(a, b)).min())
-        if key not in seen:
-            seen.add(key)
-            kept.append((H1, H2))
-    return kept

@@ -12,7 +12,6 @@ discrete Dirichlet fundamental domains.
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,17 +31,14 @@ from .errors import (
     NonFreeActionError,
     NonIntegralError,
     NumericalError,
-    ParseError,
     PreconditionError,
 )
 from .permgrp import (
     PermutationGroup,
     Subgroup,
     conjugacy_classes,
-    content_lines,
     coset_space,
     orbit_numbering,
-    parse_permutation_lines,
     subgroup_generate,
 )
 
@@ -65,12 +61,6 @@ class WeightedGraph:
         """True iff every vertex is reachable from vertex 0 along positive
         weights; found by one breadth-first search on first read."""
         return self.n == 0 or bool(np.all(_hop_distances(self.weights, 0) >= 0))
-
-    def edges(self):
-        """Yield (u, v, w) with u < v over the positive-weight pairs."""
-        us, vs = np.nonzero(np.triu(self.weights, k=1))
-        for u, v in zip(us, vs):
-            yield int(u), int(v), float(self.weights[u, v])
 
 
 def weighted_graph(weights):
@@ -182,52 +172,6 @@ def gspace(G, graph, vertex_perms):
 def _generator_rows(G):
     """Element indices of the group's generators, ascending, each once."""
     return sorted({G.index_of(gen) for gen in G.generators})
-
-
-def gspace_from_generator_images(G, graph, images):
-    """Extend vertex permutations given for the group generators to the
-    whole group by breadth-first factorization, then validate.
-
-    Each image must be a permutation of the n vertices, and each
-    generator must end up acting by its own image: a generator repeated
-    with another image, or an identity generator given a non-identity
-    image, is refused rather than overruled by the walk."""
-    if len(images) != len(G.generators):
-        raise PreconditionError(
-            f"need one vertex permutation per generator: got {len(images)}, "
-            f"expected {len(G.generators)}"
-        )
-    n = graph.n
-    ident = np.arange(n)
-    perms = np.full((G.order, n), -1, dtype=np.int32)
-    perms[0] = ident
-    gen_rows = []
-    for i, (gen, img) in enumerate(zip(G.generators, images)):
-        img = np.asarray(img)
-        if img.shape != (n,) or not np.array_equal(np.sort(img), ident):
-            raise PreconditionError(
-                f"the image of generator {i} is not a permutation of the {n} vertices"
-            )
-        gen_rows.append((G.index_of(gen), img.astype(np.intp)))
-    queue = deque([0])
-    done = np.zeros(G.order, dtype=bool)
-    done[0] = True
-    while queue:
-        x = queue.popleft()
-        for gi, img in gen_rows:
-            y = int(G.table[gi, x])
-            if not done[y]:
-                perms[y] = img[perms[x]]
-                done[y] = True
-                queue.append(y)
-    for i, (gi, img) in enumerate(gen_rows):
-        if not np.array_equal(perms[gi], img):
-            raise PreconditionError(
-                f"generator {i} repeats an earlier generator or is the identity, "
-                "and its image differs from the one it acts by"
-            )
-    perms.flags.writeable = False  # handed over to the space, not copied
-    return gspace(G, graph, perms)
 
 
 def cayley_graph(G, gen_indices=None, weights=None):
@@ -801,87 +745,3 @@ def cover_degree(space, H=None):
     if not is_free(space, H):
         raise NonFreeActionError("sheet counting needs a free action")
     return space.group.order if H is None else H.order
-
-
-# ---------------------------------------------------------------------------
-# file formats
-# ---------------------------------------------------------------------------
-
-def parse_graph_tsv(text, path=None):
-    """Edge list with one ``u v w`` line per edge.
-
-    An optional leading ``vertices n`` line fixes the vertex count (needed
-    only when trailing vertices are isolated).  Each undirected edge may
-    appear in one orientation only.
-    """
-    n_declared = None
-    edges = {}
-    lines = list(content_lines(text))
-    start = 0
-    if lines:
-        m = re.fullmatch(r"vertices\s+(\d+)", lines[0][1])
-        if m:
-            n_declared = int(m.group(1))
-            start = 1
-    max_vertex = -1
-    for lineno, line in lines[start:]:
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(
-                f"expected 'u v w', got {line!r}", line=lineno, path=path
-            )
-        try:
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno, path=path) from exc
-        if u < 0 or v < 0:
-            raise ParseError("vertex indices must be non-negative", line=lineno, path=path)
-        if u == v:
-            raise ParseError(f"self-loop at vertex {u}", line=lineno, path=path)
-        if w <= 0 or not np.isfinite(w):
-            raise ParseError(f"edge weight must be positive, got {w}", line=lineno, path=path)
-        if (u, v) in edges or (v, u) in edges:
-            raise ParseError(
-                f"edge {{{u}, {v}}} listed twice", line=lineno, path=path
-            )
-        edges[(u, v)] = w
-        max_vertex = max(max_vertex, u, v)
-    n = max_vertex + 1 if n_declared is None else n_declared
-    if max_vertex >= n:
-        raise ParseError(
-            f"vertex {max_vertex} exceeds declared count {n}", path=path
-        )
-    w = np.zeros((n, n))
-    for (u, v), weight in edges.items():
-        w[u, v] = w[v, u] = weight
-    return weighted_graph(w)
-
-
-def load_graph_file(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph_tsv(fh.read(), path=path)
-
-
-def write_graph_tsv(graph, fh):
-    fh.write(f"vertices {graph.n}\n")
-    for u, v, w in graph.edges():
-        fh.write(f"{u}\t{v}\t{w!r}\n")
-
-
-def parse_action_text(text, G, graph, path=None):
-    """Action file: one vertex permutation per group generator, in cycle
-    notation on the graph's vertex indices."""
-    perms = [p.images for _, p in parse_permutation_lines(content_lines(text), graph.n, path)]
-    if len(perms) != len(G.generators):
-        raise ParseError(
-            f"found {len(perms)} vertex permutations, expected one per group "
-            f"generator ({len(G.generators)})",
-            path=path,
-        )
-    return gspace_from_generator_images(G, graph, perms)
-
-
-def load_action_file(path, G, graph):
-    with open(path, encoding="utf-8") as fh:
-        return parse_action_text(fh.read(), G, graph, path=path)

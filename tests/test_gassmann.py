@@ -11,7 +11,6 @@ from sunadalab import chartab
 from sunadalab import gassmann as gs
 from sunadalab.cli import _normalize
 from sunadalab.errors import BudgetExceededError, NotASubgroupError, PreconditionError
-from sunadalab.permgrp import conjugate_by_all
 
 
 def test_class_counts_sum_to_order(s4):
@@ -163,70 +162,6 @@ def test_search_finds_the_16_pairs(aff8, aff8_triple):
 def test_search_s3_has_no_nonconjugate_pairs(s3):
     assert gs.gassmann_search(s3, 2) == []
     assert gs.gassmann_search(s3, 3) == []
-
-
-def test_search_keeps_conjugate_pairs_on_request(s4):
-    strict = gs.gassmann_search(s4, 2, require_nonconjugate=True)
-    loose = gs.gassmann_search(s4, 2, require_nonconjugate=False)
-    assert len(loose) > len(strict)
-    assert set((a.elements, b.elements) for a, b in strict) <= set(
-        (a.elements, b.elements) for a, b in loose
-    )
-
-
-def test_search_orbit_dedup(aff8):
-    full = gs.gassmann_search(aff8, 4)
-    deduped = gs.gassmann_search(aff8, 4, dedup_conjugate_orbits=True)
-    assert 1 <= len(deduped) <= len(full)
-    kept = set((a.elements, b.elements) for a, b in deduped)
-    assert kept <= set((a.elements, b.elements) for a, b in full)
-    # each dropped pair must be a simultaneous conjugate of a kept pair
-    from sunadalab.permgrp import conjugate_subgroup
-
-    for a, b in full:
-        hit = False
-        for g in range(aff8.order):
-            ca = conjugate_subgroup(aff8, a, g).elements
-            cb = conjugate_subgroup(aff8, b, g).elements
-            if (ca, cb) in kept or (cb, ca) in kept:
-                hit = True
-                break
-        assert hit
-
-
-def _orbit_key(columns, H1, H2):
-    # least sorted pair of conjugate element tuples over all g in G
-    return min(tuple(sorted(pair)) for pair in zip(columns[H1], columns[H2]))
-
-
-@pytest.mark.parametrize("name, m", [("psl211", 60), ("psl32", 24), ("aff8", 4)])
-def test_orbit_dedup_one_gather_per_subgroup(groups, monkeypatch, name, m):
-    if name == "psl211":
-        G = sl.load_bundled_group("psl211")
-    elif name == "psl32":
-        G = sl.generate_group(
-            7, [sl.parse_cycles("(0 1 2 3 4 5 6)", 7), sl.parse_cycles("(2 4)(5 6)", 7)]
-        )
-    else:
-        G = groups[name]
-    full = gs.gassmann_search(G, m)
-    distinct = {H.elements: H for pair in full for H in pair}
-    columns = {
-        e: list(map(tuple, conjugate_by_all(G, H).T.tolist())) for e, H in distinct.items()
-    }
-    # the first pair of each orbit of sorted conjugate-tuple pairs
-    expected, seen = [], set()
-    for H1, H2 in full:
-        key = _orbit_key(columns, H1.elements, H2.elements)
-        if key not in seen:
-            seen.add(key)
-            expected.append((H1.elements, H2.elements))
-    gathers = []
-    gather = gs.conjugate_by_all
-    monkeypatch.setattr(gs, "conjugate_by_all", lambda G, H: gathers.append(H) or gather(G, H))
-    kept = gs.gassmann_search(G, m, dedup_conjugate_orbits=True)
-    assert [(a.elements, b.elements) for a, b in kept] == expected
-    assert len(gathers) <= len(distinct)
 
 
 def test_search_budget(aff8):

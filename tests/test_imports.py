@@ -5,7 +5,8 @@ query pairs with is chosen in one place, ``chartab.table_for``: no other
 code calls ``character_table`` without a seed.  numpy's generator is used
 only for seeded weights, in ``quotspec.coset_gspace`` and
 ``quotspec.perturb_invariant_weights``, so a process that only builds
-character tables never imports ``numpy.random``."""
+character tables never imports ``numpy.random``.  Every name a module
+other than ``__init__`` imports is read in that module."""
 
 import ast
 from pathlib import Path
@@ -63,6 +64,45 @@ def test_rule_catches_both_forms():
         (2, "permgrp._record_class"),
         (4, "permgrp._class_label"),
     ]
+
+
+def _unused_imports(tree):
+    """(line, name) of each name bound by an import and never read; names
+    from ``__future__`` are compiler directives, not bindings."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        imported += [(node.lineno, name) for name in names]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted((line, name) for line, name in imported if name not in read)
+
+
+@pytest.mark.parametrize(
+    "path", [m for m in MODULES if m.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_import_is_read(path):
+    assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_import_rule_catches_both_forms():
+    source = (
+        "from __future__ import annotations\n"
+        "import re\n"
+        "import numpy as np\n"
+        "from .errors import ParseError, PreconditionError\n"
+        "import os.path\n"
+        "raise PreconditionError(np.pi, os.sep)\n"
+    )
+    assert _unused_imports(ast.parse(source)) == [(2, "re"), (4, "ParseError")]
 
 
 def _nodes_inside(tree, names):

@@ -12,7 +12,6 @@ from sunadalab import quotspec as qs
 from sunadalab.errors import (
     DisconnectedGraphError,
     NonFreeActionError,
-    ParseError,
     PreconditionError,
 )
 
@@ -263,50 +262,6 @@ def test_gspace_rejects_an_edge_carried_onto_a_non_edge(z6):
     w[5, 0] = w[0, 5] = 0.0
     with pytest.raises(PreconditionError, match="does not preserve the edge weights"):
         qs.gspace(z6, qs.weighted_graph(w), np.asarray(z6.table))
-
-
-def test_generator_images_extension(z6):
-    graph = qs.weighted_graph(_cycle_weights(6))
-    rot = [(v + 1) % 6 for v in range(6)]
-    space = qs.gspace_from_generator_images(z6, graph, [rot])
-    assert np.array_equal(space.vertex_perms, np.asarray(z6.table))
-
-
-def test_generator_images_wrong_count(z6):
-    graph = qs.weighted_graph(_cycle_weights(6))
-    with pytest.raises(PreconditionError):
-        qs.gspace_from_generator_images(z6, graph, [])
-
-
-def _rotation_group_twice():
-    # Z3 presented by the same 3-cycle twice
-    return sl.generate_group(3, [sl.Permutation([1, 2, 0])] * 2)
-
-
-def test_generator_images_repeated_generator():
-    G = _rotation_group_twice()
-    graph = qs.weighted_graph(_cycle_weights(3))
-    space = qs.gspace_from_generator_images(G, graph, [(1, 2, 0), (1, 2, 0)])
-    assert np.array_equal(space.vertex_perms, np.asarray(G.table))
-    # a second, different image for the same element is not silently dropped
-    with pytest.raises(PreconditionError, match="generator 1 repeats"):
-        qs.gspace_from_generator_images(G, graph, [(1, 2, 0), (2, 0, 1)])
-
-
-def test_generator_images_identity_generator():
-    G = sl.generate_group(3, [sl.Permutation([0, 1, 2]), sl.Permutation([1, 2, 0])])
-    graph = qs.weighted_graph(np.ones((3, 3)) - np.eye(3))
-    qs.gspace_from_generator_images(G, graph, [(0, 1, 2), (1, 2, 0)])
-    with pytest.raises(PreconditionError, match="generator 0 repeats"):
-        qs.gspace_from_generator_images(G, graph, [(1, 0, 2), (1, 2, 0)])
-
-
-@pytest.mark.parametrize("image", [(1, 2), (1, 2, 3), (1, 1, 0), lambda v: v + 1])
-def test_generator_images_must_be_permutations(image):
-    G = _rotation_group_twice()
-    graph = qs.weighted_graph(_cycle_weights(3))
-    with pytest.raises(PreconditionError, match="image of generator 1 is not a permutation"):
-        qs.gspace_from_generator_images(G, graph, [(1, 2, 0), image])
 
 
 def test_vertex_orbits_and_freeness(s3):
@@ -792,46 +747,6 @@ def test_cover_degree(c6_with_z3, z6):
     assert qs.cover_degree(space, z3) == 3
     whole = sl.subgroup_from_indices(z6, range(6))
     assert qs.cover_degree(space, whole) == 6
-
-
-# --- file formats ----------------------------------------------------------------
-
-def test_graph_tsv_roundtrip(tmp_path):
-    g = qs.weighted_graph(_cycle_weights(5))
-    path = tmp_path / "g.tsv"
-    with open(path, "w") as fh:
-        qs.write_graph_tsv(g, fh)
-    back = qs.load_graph_file(path)
-    assert back.n == 5
-    assert np.array_equal(back.weights, g.weights)
-
-
-def test_graph_tsv_rejects_duplicate_orientation():
-    with pytest.raises(ParseError):
-        qs.parse_graph_tsv("0 1 1.0\n1 0 2.0\n")
-    with pytest.raises(ParseError):
-        qs.parse_graph_tsv("0 1 1.0\n0 1 2.0\n")
-
-
-def test_graph_tsv_rejects_bad_lines():
-    for text in ["0 1\n", "0 0 1.0\n", "0 1 -2.0\n", "a b 1.0\n", "0 1 1.0 extra\n"]:
-        with pytest.raises(ParseError):
-            qs.parse_graph_tsv(text)
-
-
-def test_graph_tsv_vertices_header():
-    g = qs.parse_graph_tsv("vertices 4\n0 1 1.0\n")
-    assert g.n == 4
-    with pytest.raises(ParseError):
-        qs.parse_graph_tsv("vertices 2\n0 3 1.0\n")
-
-
-def test_action_file_parse(z6, tmp_path):
-    graph = qs.weighted_graph(_cycle_weights(6))
-    space = qs.parse_action_text("(0 1 2 3 4 5)\n", z6, graph)
-    assert np.array_equal(space.vertex_perms, np.asarray(z6.table))
-    with pytest.raises(ParseError):
-        qs.parse_action_text("(0 1 2 3 4 5)\n(0 1)\n", z6, graph)
 
 
 # --- properties -------------------------------------------------------------------
