@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigenDecompositionError, NonIntegralError, NotASubgroupError, PreconditionError
+from .errors import EigenDecompositionError, NonIntegralError
 from .permgrp import (
     ConjugacyClassPartition,
     PermutationGroup,
@@ -72,29 +72,23 @@ def structure_constants(G):
     return a
 
 
-def character_table(G, seed=0):
-    """Character table of G, deterministic for a fixed seed.
+def character_table(G):
+    """Character table of G, the one table every query on G pairs with.
 
-    The combination coefficients are Gaussian draws from one
-    ``random.Random(seed)`` stream, each attempt taking the next k.
-    Each table is kept on the group under its seed, so a later call
-    with the same seed does no eigendecomposition.  A seed that is not
-    a non-negative int raises PreconditionError before the cache is
-    read (``random.Random`` would seed -1 as 1, and True or 1.0 would
-    find the table of seed 1), and EigenDecompositionError is raised if no
+    The combination coefficients are Gaussian draws from one fixed
+    ``random.Random(0)`` stream, each attempt taking the next k, so the
+    table is deterministic.  It is kept on the group, so a later call
+    does no eigendecomposition.  EigenDecompositionError is raised if no
     combination produces a verified table within ``MAX_ATTEMPTS`` draws.
     """
-    if type(seed) is not int or seed < 0:
-        raise PreconditionError(f"seed must be a non-negative int, got {seed!r}")
     cc = conjugacy_classes(G)
-    cached = G._character_tables.get(seed)
-    if cached is not None:
-        table, degrees = cached
+    if G._character_table is not None:
+        table, degrees = G._character_table
         return CharacterTable(group=G, partition=cc, table=table, degrees=degrees)
     a = structure_constants(G)
     sizes = np.asarray(cc.class_sizes, dtype=np.float64)
     k = cc.num_classes
-    rng = random.Random(seed)
+    rng = random.Random(0)
     last_error = None
     for _ in range(MAX_ATTEMPTS):
         coeffs = np.array([rng.gauss(0.0, 1.0) for _ in range(k)])
@@ -105,7 +99,7 @@ def character_table(G, seed=0):
         except (NonIntegralError, EigenDecompositionError) as exc:
             last_error = exc
             continue
-        G._character_tables[seed] = (ct.table, ct.degrees)
+        G._character_table = (ct.table, ct.degrees)
         return ct
     raise EigenDecompositionError(
         f"no valid character table after {MAX_ATTEMPTS} attempts: {last_error}"
@@ -189,29 +183,18 @@ def permutation_character(G, H):
     return tuple(G.order * c // (H.order * n) for c, n in zip(counts, sizes))
 
 
-def table_for(G, ct=None):
-    """The character table a query on G pairs with: ``ct`` itself when it
-    is a table of G, G's seed-0 table when ``ct`` is None.  A table of
-    another group object raises NotASubgroupError, even when the groups
-    are equal, since its classes need not be numbered as G's are."""
-    if ct is None:
-        return character_table(G)
-    if ct.group is not G:
-        raise NotASubgroupError("character table belongs to another group object")
-    return ct
-
-
-def induced_multiplicities(G, H, ct=None):
-    """Multiplicity of each irreducible of ``table_for(G, ct)`` in
+def induced_multiplicities(G, H):
+    """Multiplicity of each irreducible of ``character_table(G)`` in
     Ind_H^G 1, the coset representation of G on G/H.  By Frobenius
     reciprocity it is also the dimension of the H-fixed vectors of each
     irreducible, (1/|H|) sum_{h in H} chi(h): one pairing, two readings."""
-    return multiplicities(table_for(G, ct), permutation_character(G, H))
+    return multiplicities(character_table(G), permutation_character(G, H))
 
 
-def irreps_with_fixed_vectors(ct, K):
-    """Rows whose restriction to K contains the trivial character."""
-    return tuple(np.flatnonzero(induced_multiplicities(ct.group, K, ct)).tolist())
+def irreps_with_fixed_vectors(G, K):
+    """Rows of ``character_table(G)`` whose restriction to K contains the
+    trivial character."""
+    return tuple(np.flatnonzero(induced_multiplicities(G, K)).tolist())
 
 
 def format_complex(z):

@@ -115,7 +115,7 @@ def _load_group(args):
 def cmd_group_info(args):
     G = _load_group(args)
     cc = chartab.conjugacy_classes(G)
-    ct = chartab.character_table(G, seed=args.seed)
+    ct = chartab.character_table(G)
     table_rows = [
         [chartab.format_complex(z) for z in ct.table[r]]
         for r in range(ct.num_irreps)
@@ -137,12 +137,15 @@ def cmd_group_info(args):
 
 def cmd_gassmann(args):
     G = _load_group(args)
-    ct = chartab.character_table(G, seed=args.seed)
     if args.search is not None:
         if args.h1 or args.h2:
             raise PreconditionError("--search replaces the subgroup files")
+        if args.search < 1:
+            raise PreconditionError(
+                f"--search needs a subgroup order of at least 1, got {args.search}"
+            )
         pairs = gassmann.gassmann_search(G, args.search, budget=args.budget)
-        reports = [gassmann.triple_report(G, h1, h2, ct=ct) for h1, h2 in pairs]
+        reports = [gassmann.triple_report(G, h1, h2) for h1, h2 in pairs]
         return {
             "command": "gassmann",
             "group_file": args.group,
@@ -155,7 +158,7 @@ def cmd_gassmann(args):
         raise PreconditionError("need two subgroup files or --search m")
     H1 = load_subgroup_file(args.h1, G)
     H2 = load_subgroup_file(args.h2, G)
-    return gassmann.triple_report(G, H1, H2, ct=ct)
+    return gassmann.triple_report(G, H1, H2)
 
 
 def _cayley_space(G, gens_text):
@@ -185,16 +188,15 @@ def cmd_sunada(args):
     H2 = load_subgroup_file(args.h2, G)
     K = load_subgroup_file(args.k, G) if args.k else subgroup_generate(G, [])
     space = _cayley_space(G, args.gens)
-    ct = chartab.character_table(G, seed=args.seed)
-    triple = gassmann.triple_report(G, H1, H2, ct=ct)
+    triple = gassmann.triple_report(G, H1, H2)
     s1 = quotspec.invariant_spectrum(space, H1, cluster_tol=args.cluster_tol)
     s2 = quotspec.invariant_spectrum(space, H2, cluster_tol=args.cluster_tol)
     if s1.dim == s2.dim:
         gap = float(np.max(np.abs(s1.values - s2.values))) if s1.dim else 0.0
     else:
         gap = math.inf
-    id1 = quotspec.sunada_identity_check(space, H1, K, ct=ct, cluster_tol=args.cluster_tol)
-    id2 = quotspec.sunada_identity_check(space, H2, K, ct=ct, cluster_tol=args.cluster_tol)
+    id1 = quotspec.sunada_identity_check(space, H1, K, cluster_tol=args.cluster_tol)
+    id2 = quotspec.sunada_identity_check(space, H2, K, cluster_tol=args.cluster_tol)
     isospectral = gap <= args.tol
     return {
         "command": "sunada",
@@ -202,7 +204,7 @@ def cmd_sunada(args):
         "group_order": G.order,
         "triple": triple,
         "k_order": K.order,
-        "k_equivalent": gassmann.k_equivalent(G, H1, H2, K, ct=ct),
+        "k_equivalent": gassmann.k_equivalent(G, H1, H2, K),
         "spectrum_h1": s1.clusters,
         "spectrum_h2": s2.clusters,
         "max_gap": gap if math.isfinite(gap) else "infinite",
@@ -325,7 +327,6 @@ _COMMON_FLAGS = {
                "N_G(H)-orbit of right cosets of each conjugacy class "
                "representative H"),
     "max_order": (int, DEFAULT_MAX_ORDER, "largest group order to enumerate"),
-    "seed": (int, 0, "seed for randomized internals"),
     "trace_tol": (float, None, "fail if a truncation bound exceeds this"),
     "out": (str, None, "write the report here instead of stdout"),
 }
@@ -347,7 +348,7 @@ def build_parser():
 
     p = sub.add_parser("group-info", help="order, classes, character table")
     p.add_argument("group", help="group file")
-    _add_common(p, "max_order", "seed", "out")
+    _add_common(p, "max_order", "out")
     p.set_defaults(func=cmd_group_info)
 
     p = sub.add_parser("gassmann", help="certify or search almost conjugate pairs")
@@ -356,7 +357,7 @@ def build_parser():
     p.add_argument("h2", nargs="?", help="second subgroup file")
     p.add_argument("--search", type=int, default=None,
                    help="search all subgroup pairs of this order instead")
-    _add_common(p, "max_order", "budget", "seed", "out")
+    _add_common(p, "max_order", "budget", "out")
     p.set_defaults(func=cmd_gassmann)
 
     p = sub.add_parser("sunada", help="run the Cayley pipeline on a triple")
@@ -366,7 +367,7 @@ def build_parser():
     p.add_argument("--k", default=None, help="subgroup file for the equivalence level")
     p.add_argument("--gens", default=None,
                    help="semicolon-separated connection elements in cycle notation")
-    _add_common(p, "max_order", "seed", "cluster_tol", "tol", "out")
+    _add_common(p, "max_order", "cluster_tol", "tol", "out")
     p.set_defaults(func=cmd_sunada)
 
     p = sub.add_parser("heat", help="flat-model indicators and audibility")
@@ -397,7 +398,7 @@ _EXIT_CODES = (
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        for dest in ("tol", "cluster_tol", "trace_tol", "seed"):
+        for dest in ("tol", "cluster_tol", "trace_tol"):
             value = getattr(args, dest, None)
             if value is not None and not (0 <= value < math.inf):
                 raise PreconditionError(

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chartab import (
+    character_table,
     induced_multiplicities,
     irreps_with_fixed_vectors,
     multiplicities,
     permutation_character,
-    table_for,
 )
 from .errors import PreconditionError
 from .permgrp import (
@@ -51,44 +51,40 @@ def almost_conjugate(G, H1, H2):
     return class_intersection_counts(G, H1) == class_intersection_counts(G, H2)
 
 
-def representation_equivalent(G, H1, H2, ct=None):
+def representation_equivalent(G, H1, H2):
     """True iff G/H1 and G/H2 carry equivalent representations of G.
 
     Decided through character multiplicities, independently of the class
     counting in ``almost_conjugate``.
     """
-    ct = table_for(G, ct)
-    return induced_multiplicities(G, H1, ct) == induced_multiplicities(G, H2, ct)
+    return induced_multiplicities(G, H1) == induced_multiplicities(G, H2)
 
 
-def k_equivalent(G, H1, H2, K, ct=None):
+def k_equivalent(G, H1, H2, K):
     """Representation equivalence restricted to the irreducibles with a
     K-fixed vector.  K = trivial subgroup recovers full equivalence."""
-    ct = table_for(G, ct)
-    rows = irreps_with_fixed_vectors(ct, K)
-    m1 = induced_multiplicities(G, H1, ct)
-    m2 = induced_multiplicities(G, H2, ct)
-    return all(m1[r] == m2[r] for r in rows)
+    m1 = induced_multiplicities(G, H1)
+    m2 = induced_multiplicities(G, H2)
+    return all(m1[r] == m2[r] for r in irreps_with_fixed_vectors(G, K))
 
 
-def triple_report(G, H1, H2, ct=None):
+def triple_report(G, H1, H2):
     """Full certificate for a subgroup pair.
 
     The counting route and the representation route must agree; a
     disagreement would mean a numerical fault, not a mathematical one,
-    so it is raised rather than reported.  ``ct`` is the character table
-    of G to use, as ``chartab.table_for`` reads it.
+    so it is raised rather than reported.  The representation route
+    pairs both permutation characters with ``character_table(G)``.
     """
     if H1.order != H2.order:
         raise PreconditionError(
             f"subgroup orders differ: {H1.order} vs {H2.order}"
         )
-    ct = table_for(G, ct)
     c1 = class_intersection_counts(G, H1)
     c2 = class_intersection_counts(G, H2)
     ac = c1 == c2
     pc = permutation_character(G, H1)
-    m = multiplicities(ct, [pc, permutation_character(G, H2)])
+    m = multiplicities(character_table(G), [pc, permutation_character(G, H2)])
     rep_eq = bool(np.array_equal(m[0], m[1]))
     if ac != rep_eq:
         raise PreconditionError(

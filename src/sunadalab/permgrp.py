@@ -181,9 +181,9 @@ class PermutationGroup:
         # element tuple of each subgroup -> its number of elements in each
         # conjugacy class, the one fact every character query reads
         self._class_counts = {}
-        # seed -> (table, degrees) of each character table that
-        # ``chartab.character_table`` has computed for the group
-        self._character_tables = {}
+        # (table, degrees) of the group's character table once
+        # ``chartab.character_table`` has computed it
+        self._character_table = None
 
     @cached_property
     def table(self):

@@ -21,10 +21,10 @@ import numpy as np
 from .chartab import (
     INTEGRALITY_TOL,
     CharacterTable,
+    character_table,
     induced_multiplicities,
     irreps_with_fixed_vectors,
     multiplicities,
-    table_for,
 )
 from .errors import (
     DisconnectedGraphError,
@@ -481,17 +481,17 @@ def _eigenspaces(space, cluster_tol):
     return cache[cluster_tol]
 
 
-def isotypic_multiplicities(space, ct=None, cluster_tol=None):
+def isotypic_multiplicities(space, cluster_tol=None):
     """Decompose each eigenspace of the Laplacian into irreducibles.
 
     The traces of one representative per conjugacy class on each
     eigenspace are kept on the space, once per ``cluster_tol``; each call
-    pairs them with ``table_for(space.group, ct)``, which is a
+    pairs them with ``character_table(space.group)``, which is a
     clusters x classes product.  Multiplicities must come out as
     non-negative integers within ``INTEGRALITY_TOL``, and each cluster's
     dimension must equal the degree-weighted sum of its multiplicities.
     """
-    ct = table_for(space.group, ct)
+    ct = character_table(space.group)
     decomp, _, traces = _eigenspaces(space, cluster_tol)
     counts = multiplicities(ct, traces)
     dims = counts @ np.asarray(ct.degrees)
@@ -519,7 +519,7 @@ class EquivarianceReport:
         return self.equal
 
 
-def equivariantly_isospectral(space1, space2, ct=None, tol=1e-9, cluster_tol=None):
+def equivariantly_isospectral(space1, space2, tol=1e-9, cluster_tol=None):
     """Compare eigenvalues together with their isotypic decompositions.
 
     The two spaces must carry the same group.  Equality means equal
@@ -528,8 +528,8 @@ def equivariantly_isospectral(space1, space2, ct=None, tol=1e-9, cluster_tol=Non
     """
     if space1.group is not space2.group:
         raise PreconditionError("the spaces carry different group objects")
-    t1 = isotypic_multiplicities(space1, ct=ct, cluster_tol=cluster_tol)
-    t2 = isotypic_multiplicities(space2, ct=ct, cluster_tol=cluster_tol)
+    t1 = isotypic_multiplicities(space1, cluster_tol=cluster_tol)
+    t2 = isotypic_multiplicities(space2, cluster_tol=cluster_tol)
     reason = _first_difference(t1, t2, tol)
     c1, c2 = t1.decomposition.clusters, t2.decomposition.clusters
     return EquivarianceReport(equal=not reason, reason=reason, clusters_1=c1, clusters_2=c2)
@@ -569,7 +569,7 @@ class SunadaIdentityReport:
         return self.holds
 
 
-def sunada_identity_check(space, H, K=None, ct=None, cluster_tol=None):
+def sunada_identity_check(space, H, K=None, cluster_tol=None):
     """For each eigenvalue, compare the dimension of H-invariant
     eigenfunctions with the multiplicity sum over the irreducibles having
     a K-fixed vector, weighted by their multiplicity in the coset
@@ -583,9 +583,8 @@ def sunada_identity_check(space, H, K=None, ct=None, cluster_tol=None):
     G = space.group
     if K is None:
         K = subgroup_generate(G, [])
-    ct = table_for(G, ct)
-    counts = isotypic_multiplicities(space, ct=ct, cluster_tol=cluster_tol).counts
-    k_rows = irreps_with_fixed_vectors(ct, K)
+    counts = isotypic_multiplicities(space, cluster_tol=cluster_tol).counts
+    k_rows = irreps_with_fixed_vectors(G, K)
     rows = np.asarray(k_rows, dtype=np.intp)
     outside = counts.any(axis=0)
     outside[rows] = False
@@ -594,7 +593,7 @@ def sunada_identity_check(space, H, K=None, ct=None, cluster_tol=None):
             f"irrep {int(np.argmax(outside))} appears in the spectrum but has no "
             "fixed vector under the chosen K; the identity does not apply"
         )
-    ind = np.asarray(induced_multiplicities(G, H, ct))
+    ind = np.asarray(induced_multiplicities(G, H))
     decomp, starts, _ = _eigenspaces(space, cluster_tol)
     # dim of the H-invariant part of E_c = trace(P_H P_c), the sum of
     # |B^T v|^2 over the eigenvectors v of the cluster
@@ -640,9 +639,8 @@ class DonnellyReport:
         return self.law_holds
 
 
-def donnelly_support(space, ct=None, cluster_tol=None):
-    ct = table_for(space.group, ct)
-    table = isotypic_multiplicities(space, ct=ct, cluster_tol=cluster_tol)
+def donnelly_support(space, cluster_tol=None):
+    table = isotypic_multiplicities(space, cluster_tol=cluster_tol)
     observed = table.supported_rows()
     label, _ = _orbit_labels(space, None)
     reps = orbit_numbering(label)[0].tolist()
@@ -651,7 +649,7 @@ def donnelly_support(space, ct=None, cluster_tol=None):
         stab = np.flatnonzero(space.vertex_perms[:, v] == v)
         K = Subgroup(parent=space.group, elements=tuple(stab.tolist()))
         stab_orders.append(K.order)
-        row_sets.append(frozenset(irreps_with_fixed_vectors(ct, K)))
+        row_sets.append(frozenset(irreps_with_fixed_vectors(space.group, K)))
     union = frozenset().union(*row_sets) if row_sets else frozenset()
     principal_rows = None
     principal_holds = None

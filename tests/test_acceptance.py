@@ -98,7 +98,7 @@ def test_criterion_4_counting_equals_representation(groups, announce):
         ct = sl.character_table(G)
         subs = sl.all_subgroups(G)
         counts = [sl.class_intersection_counts(G, H) for H in subs]
-        induced = [induced_multiplicities(G, H, ct) for H in subs]
+        induced = [induced_multiplicities(G, H) for H in subs]
         for i, j in itertools.combinations(range(len(subs)), 2):
             pairs += 1
             by_counting = counts[i] == counts[j]
@@ -107,7 +107,7 @@ def test_criterion_4_counting_equals_representation(groups, announce):
                 exceptions += 1
             if almost_conjugate(G, subs[i], subs[j]) != by_counting:
                 exceptions += 1
-            if representation_equivalent(G, subs[i], subs[j], ct=ct) != by_characters:
+            if representation_equivalent(G, subs[i], subs[j]) != by_characters:
                 exceptions += 1
     announce(4, exceptions == 0, f"{pairs} subgroup pairs, {exceptions} exceptions")
 
@@ -126,7 +126,7 @@ def test_criterion_5_frobenius_reciprocity(groups, announce):
         rows = rows.tolist()
         class_of = ct.partition.class_of.tolist()
         for H in sl.all_subgroups(G):
-            induced = induced_multiplicities(G, H, ct)
+            induced = induced_multiplicities(G, H)
             for row in range(ct.num_irreps):
                 average = Fraction(sum(rows[row][class_of[h]] for h in H.elements), H.order)
                 ok = ok and induced[row] == average

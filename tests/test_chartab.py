@@ -15,8 +15,8 @@ from sunadalab.errors import (
     EigenDecompositionError,
     NonIntegralError,
     NotASubgroupError,
-    PreconditionError,
 )
+from sunadalab.permgrp import bundled_group_path
 
 
 def _gram_deviation(ct):
@@ -71,36 +71,14 @@ def test_trivial_character_is_row_zero(groups):
 
 def test_table_deterministic(d4):
     a = ch.character_table(d4)
-    d4._character_tables.clear()
+    d4._character_table = None
     b = ch.character_table(d4)
     assert np.array_equal(a.table, b.table)
 
 
-def test_tables_cached_per_seed(monkeypatch):
-    # alternating seeds reuse the table each seed built
-    G = sl.load_bundled_group("aff8")
-    builds = []
-    build = ch.structure_constants
-    monkeypatch.setattr(ch, "structure_constants", lambda G: builds.append(G) or build(G))
-    tables = [ch.character_table(G, seed=seed) for seed in (0, 1, 0, 1)]
-    assert len(builds) == 2
-    assert np.array_equal(tables[0].table, tables[2].table)
-    assert np.array_equal(tables[1].table, tables[3].table)
-
-
-@pytest.mark.parametrize("seed", [-1, 1.5, "3", True, 1.0])
-def test_seed_must_be_a_non_negative_int(seed):
-    # random.Random would seed -1 as 1 and accept the others; True and 1.0
-    # equal the cached seed 1 as dict keys, so the check precedes the cache
-    G = sl.load_bundled_group("s3")
-    ch.character_table(G, seed=1)
-    with pytest.raises(PreconditionError, match="non-negative int"):
-        ch.character_table(G, seed=seed)
-
-
 def test_retries_take_the_next_draws_of_one_stream(monkeypatch):
     # every attempt combines the class matrices with the next k draws of
-    # random.Random(seed); after MAX_ATTEMPTS failures the table is given up
+    # random.Random(0); after MAX_ATTEMPTS failures the table is given up
     G = sl.load_bundled_group("s3")
     seen = []
 
@@ -110,10 +88,10 @@ def test_retries_take_the_next_draws_of_one_stream(monkeypatch):
 
     monkeypatch.setattr(ch, "_table_from_eigenvectors", reject)
     with pytest.raises(EigenDecompositionError, match=f"after {ch.MAX_ATTEMPTS} attempts: rejected"):
-        ch.character_table(G, seed=5)
+        ch.character_table(G)
     assert len(seen) == ch.MAX_ATTEMPTS
     a = ch.structure_constants(G)
-    rng = random.Random(5)
+    rng = random.Random(0)
     for vecs in seen:
         coeffs = [rng.gauss(0.0, 1.0) for _ in range(len(a))]
         assert np.array_equal(vecs, np.linalg.eig(np.tensordot(coeffs, a, axes=1))[1])
@@ -281,38 +259,35 @@ def test_fixed_vector_counts_exact(s4, d4):
                 for row in rows
             ]
             assert all(m.denominator == 1 for m in exact)
-            assert ch.induced_multiplicities(G, K, ct) == tuple(int(m) for m in exact)
-            assert ch.irreps_with_fixed_vectors(ct, K) == tuple(
+            assert ch.induced_multiplicities(G, K) == tuple(int(m) for m in exact)
+            assert ch.irreps_with_fixed_vectors(G, K) == tuple(
                 r for r, m in enumerate(exact) if m > 0
             )
 
 
 def test_fixed_vector_rows_monotone(d4):
-    ct = ch.character_table(d4)
     subs = sl.all_subgroups(d4)
     for small in subs:
         for big in subs:
             if set(small.elements) <= set(big.elements):
-                rows_small = set(ch.irreps_with_fixed_vectors(ct, small))
-                rows_big = set(ch.irreps_with_fixed_vectors(ct, big))
+                rows_small = set(ch.irreps_with_fixed_vectors(d4, small))
+                rows_big = set(ch.irreps_with_fixed_vectors(d4, big))
                 assert rows_big <= rows_small
 
 
 def test_trivial_restriction_counts(s3):
-    ct = ch.character_table(s3)
     A3 = sl.subgroup_generate(s3, [s3.index_of(sl.parse_cycles("(0 1 2)", 3))])
     # trivial and sign restrict trivially to A3; the 2-dim does not
     # (1/|A3|) sum_{k in A3} chi(k) = (chi(e) + 2 chi((0 1 2))) / 3 per row
     exact = [Fraction(e + 2 * c, 3) for e, c in ((1, 1), (1, 1), (2, -1))]
-    assert ch.induced_multiplicities(s3, A3, ct) == tuple(int(m) for m in exact) == (1, 1, 0)
-    assert ch.irreps_with_fixed_vectors(ct, A3) == (0, 1)
+    assert ch.induced_multiplicities(s3, A3) == tuple(int(m) for m in exact) == (1, 1, 0)
+    assert ch.irreps_with_fixed_vectors(s3, A3) == (0, 1)
 
 
 def test_whole_group_sees_only_trivial(groups):
     for G in groups.values():
-        ct = ch.character_table(G)
         whole = sl.subgroup_from_indices(G, range(G.order))
-        assert ch.irreps_with_fixed_vectors(ct, whole) == (0,)
+        assert ch.irreps_with_fixed_vectors(G, whole) == (0,)
 
 
 def test_fingerprints_d4_q8(d4, q8, s3):
@@ -370,40 +345,28 @@ def test_structure_constants_memory():
     assert peak < 1 << 20
 
 
-def test_table_for_picks_and_checks(aff8):
-    own = ch.character_table(aff8, seed=1)
-    assert ch.table_for(aff8, own) is own
-    assert ch.table_for(aff8).table is ch.character_table(aff8, seed=0).table
-    with pytest.raises(NotASubgroupError, match="another group object"):
-        ch.table_for(sl.load_bundled_group("aff8"), own)
-
-
-# every query that pairs with a character table, called on aff8 as (G, H1, H2, space, ct)
+# every query that pairs with a character table, called on aff8 as (G, H1, H2, space)
 _QUERIES = {
-    "induced_multiplicities": lambda G, H1, H2, X, ct: ch.induced_multiplicities(G, H1, ct),
-    "representation_equivalent": lambda G, H1, H2, X, ct: gs.representation_equivalent(
-        G, H1, H2, ct
-    ),
-    "k_equivalent": lambda G, H1, H2, X, ct: gs.k_equivalent(G, H1, H2, H1, ct),
-    "triple_report": lambda G, H1, H2, X, ct: gs.triple_report(G, H1, H2, ct),
-    "isotypic_multiplicities": lambda G, H1, H2, X, ct: sl.isotypic_multiplicities(X, ct=ct),
-    "equivariantly_isospectral": lambda G, H1, H2, X, ct: sl.equivariantly_isospectral(
-        X, X, ct=ct
-    ),
-    "sunada_identity_check": lambda G, H1, H2, X, ct: sl.sunada_identity_check(X, H1, ct=ct),
-    "donnelly_support": lambda G, H1, H2, X, ct: sl.donnelly_support(X, ct=ct),
+    "induced_multiplicities": lambda G, H1, H2, X: ch.induced_multiplicities(G, H1),
+    "representation_equivalent": lambda G, H1, H2, X: gs.representation_equivalent(G, H1, H2),
+    "k_equivalent": lambda G, H1, H2, X: gs.k_equivalent(G, H1, H2, H1),
+    "triple_report": lambda G, H1, H2, X: gs.triple_report(G, H1, H2),
+    "isotypic_multiplicities": lambda G, H1, H2, X: sl.isotypic_multiplicities(X),
+    "equivariantly_isospectral": lambda G, H1, H2, X: sl.equivariantly_isospectral(X, X),
+    "sunada_identity_check": lambda G, H1, H2, X: sl.sunada_identity_check(X, H1),
+    "donnelly_support": lambda G, H1, H2, X: sl.donnelly_support(X),
 }
 
 
-@pytest.mark.parametrize("name", sorted(_QUERIES))
-def test_query_refuses_a_table_of_another_group(name, aff8_triple, s4):
-    # a second aff8 object has an equal table but classes of its own;
-    # the s4 table has another number of classes
-    G, H1, H2 = aff8_triple
+def test_queries_share_one_table_per_group(monkeypatch):
+    # a fresh group object builds its table once, whichever query asks first
+    G = sl.load_bundled_group("aff8")
+    H1 = sl.load_subgroup_file(bundled_group_path("aff8_h1.subgroup"), G)
+    H2 = sl.load_subgroup_file(bundled_group_path("aff8_h2.subgroup"), G)
     space = sl.cayley_graph(G)
-    for other in (sl.load_bundled_group("aff8"), s4):
-        with pytest.raises(
-            NotASubgroupError, match="character table belongs to another group object"
-        ):
-            _QUERIES[name](G, H1, H2, space, ch.character_table(other))
-    _QUERIES[name](G, H1, H2, space, ch.character_table(G, seed=1))
+    builds = []
+    build = ch.structure_constants
+    monkeypatch.setattr(ch, "structure_constants", lambda G: builds.append(G) or build(G))
+    for query in _QUERIES.values():
+        query(G, H1, H2, space)
+    assert builds == [G]

@@ -124,6 +124,14 @@ def test_gassmann_search_conflicts_with_files(capsys):
     assert report["error"]["type"] == "PreconditionError"
 
 
+@pytest.mark.parametrize("order", ["0", "-2"])
+def test_gassmann_search_order_below_one_exit_code(capsys, order):
+    code, report = run_cli(["gassmann", S3, "--search", order], capsys)
+    assert code == 3
+    assert report["error"]["type"] == "PreconditionError"
+    assert f"at least 1, got {order}" in report["error"]["message"]
+
+
 def test_nonclosed_subgroup_exit_code(tmp_path, capsys):
     bad = tmp_path / "h.subgroup"
     bad.write_text("(0 1 2 3 4 5 6 7)\n")  # generates more than it lists
@@ -156,29 +164,23 @@ def test_sunada_memory_preflight(tmp_path, capsys, monkeypatch, command):
 
 
 def test_sunada_computes_one_character_table(capsys, monkeypatch):
-    # the triple certificate reuses the table built for --seed, whatever
-    # the seed, and the report does not depend on which table it used
+    # the triple certificate, the two identity checks and the K-equivalence
+    # all pair with the one table the run builds for its group
     builds = []  # each table computation starts from the structure constants
     build = chartab.structure_constants
     monkeypatch.setattr(
         chartab, "structure_constants", lambda G: builds.append(G) or build(G)
     )
-    reports = {}
-    for seed in ("0", "7"):
-        builds.clear()
-        code, reports[seed] = run_cli(
-            ["sunada", AFF8, AFF8_H1, AFF8_H2, "--seed", seed], capsys
-        )
-        assert code == 0
-        assert len(builds) == 1
-    assert reports["7"] == reports["0"]
+    code, _ = run_cli(["sunada", AFF8, AFF8_H1, AFF8_H2], capsys)
+    assert code == 0
+    assert len(builds) == 1
 
 
 # each subcommand declares only the common flags it reads
 _REMOVED_FLAGS = {
-    "group-info": ["--tol", "--cluster-tol", "--nmax", "--budget"],
-    "gassmann": ["--tol", "--cluster-tol", "--nmax"],
-    "sunada": ["--nmax", "--budget"],
+    "group-info": ["--tol", "--cluster-tol", "--nmax", "--budget", "--seed"],
+    "gassmann": ["--tol", "--cluster-tol", "--nmax", "--seed"],
+    "sunada": ["--nmax", "--budget", "--seed"],
     "heat": ["--cluster-tol", "--budget", "--max-order", "--seed"],
 }
 _BASE_ARGV = {
@@ -201,18 +203,16 @@ def test_unread_common_flag_is_rejected(capsys, command, flag):
 
 
 def test_gassmann_search_uses_seeded_table_once(capsys, monkeypatch):
-    seeds, builds = [], []
-    table, build = chartab.character_table, chartab.structure_constants
-    monkeypatch.setattr(
-        chartab, "character_table", lambda G, seed=0: seeds.append(seed) or table(G, seed=seed)
-    )
+    # every pair's certificate pairs with the table drawn once from the
+    # fixed random.Random(0) stream
+    builds = []
+    build = chartab.structure_constants
     monkeypatch.setattr(
         chartab, "structure_constants", lambda G: builds.append(G) or build(G)
     )
-    code, report = run_cli(["gassmann", AFF8, "--search", "4", "--seed", "7"], capsys)
+    code, report = run_cli(["gassmann", AFF8, "--search", "4"], capsys)
     assert code == 0
     assert report["num_pairs"] > 1
-    assert seeds == [7]
     assert len(builds) == 1
 
 
@@ -446,9 +446,6 @@ def test_heat_boolean_spectrum_file(tmp_path, capsys, text):
         ["heat", "--model", "interval:1", "--tol", "inf"],
         ["heat", "--model", "interval:1", "--trace-tol", "nan"],
         ["heat", "--model", "interval:1", "--trace-tol", "-1"],
-        ["group-info", S3, "--seed", "-1"],
-        ["gassmann", S3, "--search", "2", "--seed=-1"],
-        ["sunada", AFF8, AFF8_H1, AFF8_H2, "--seed", "-1"],
     ],
 )
 def test_bad_tolerance_exit_code(capsys, argv):
@@ -458,13 +455,14 @@ def test_bad_tolerance_exit_code(capsys, argv):
     assert "finite and non-negative" in report["error"]["message"]
 
 
-def test_negative_seed_from_env_exit_code(capsys, monkeypatch):
-    monkeypatch.setenv("SUNADALAB_SEED", "-1")
-    code, report = run_cli(["group-info", S3], capsys)
+def test_negative_tolerance_from_env_exit_code(capsys, monkeypatch):
+    # an environment default passes the same range check as the flag
+    monkeypatch.setenv("SUNADALAB_TOL", "-1")
+    code, report = run_cli(["sunada", AFF8, AFF8_H1, AFF8_H2], capsys)
     assert code == 3
     assert report["error"] == {
         "type": "PreconditionError",
-        "message": "--seed must be finite and non-negative, got -1",
+        "message": "--tol must be finite and non-negative, got -1.0",
         "exit_code": 3,
     }
 
@@ -649,7 +647,7 @@ def test_env_overrides(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "var, value", [("SUNADALAB_SEED", "abc"), ("SUNADALAB_BUDGET", "x")]
+    "var, value", [("SUNADALAB_MAX_ORDER", "abc"), ("SUNADALAB_BUDGET", "x")]
 )
 def test_bad_env_value_exit_code(capsys, monkeypatch, var, value):
     monkeypatch.setenv(var, value)

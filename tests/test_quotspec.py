@@ -484,11 +484,10 @@ def test_coset_action_isotypic_totals(s4):
     # the character route must agree
     from sunadalab.gassmann import induced_multiplicities
 
-    ct = sl.character_table(s4)
     for H in sl.all_subgroups(s4)[:10]:
         space = qs.coset_gspace(s4, [H], weight_seed=2)
-        table = qs.isotypic_multiplicities(space, ct=ct)
-        assert tuple(table.counts.sum(axis=0)) == induced_multiplicities(s4, H, ct)
+        table = qs.isotypic_multiplicities(space)
+        assert tuple(table.counts.sum(axis=0)) == induced_multiplicities(s4, H)
 
 
 def _oracle_counts(space, ct):
@@ -507,16 +506,14 @@ def _oracle_counts(space, ct):
 @pytest.mark.parametrize("name", ["s3", "s4", "z4", "z6", "z8", "d4", "q8", "aff8"])
 def test_isotypic_counts_match_oracle(groups, name):
     G = groups[name]
-    # the second table pairs with the class traces kept from the first
-    tables = [sl.character_table(G, seed=seed) for seed in (0, 1)]
+    ct = sl.character_table(G)
     subs = sl.all_subgroups(G)
     for space in (
         qs.cayley_graph(G),
         qs.coset_gspace(G, [subs[len(subs) // 2], subs[-2]], weight_seed=5),
     ):
-        for ct in tables:
-            counts = qs.isotypic_multiplicities(space, ct=ct).counts
-            assert np.array_equal(counts, _oracle_counts(space, ct))
+        counts = qs.isotypic_multiplicities(space).counts
+        assert np.array_equal(counts, _oracle_counts(space, ct))
 
 
 def test_empty_gspace(z4):
@@ -643,8 +640,7 @@ def test_isotypic_counts_computed_once_per_space(aff8_triple, monkeypatch):
     assert len(clusterings) == 1
     table = qs.isotypic_multiplicities(space)
     traces = space._eigenspace_cache[None][2]
-    other = sl.character_table(G, seed=1)
-    assert np.array_equal(qs.isotypic_multiplicities(space, ct=other).counts, table.counts)
+    assert np.array_equal(qs.isotypic_multiplicities(space).counts, table.counts)
     assert len(clusterings) == 1
     assert len(space._eigenspace_cache) == 1
     assert space._eigenspace_cache[None][2] is traces  # no new traces
