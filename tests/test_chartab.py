@@ -358,11 +358,37 @@ _QUERIES = {
 }
 
 
-def test_queries_share_one_table_per_group(monkeypatch):
-    # a fresh group object builds its table once, whichever query asks first
+def _fresh_aff8():
     G = sl.load_bundled_group("aff8")
     H1 = sl.load_subgroup_file(bundled_group_path("aff8_h1.subgroup"), G)
     H2 = sl.load_subgroup_file(bundled_group_path("aff8_h2.subgroup"), G)
+    return G, H1, H2
+
+
+@pytest.mark.parametrize("name", sorted(_QUERIES))
+def test_query_refuses_a_table_of_another_group(name, s4, monkeypatch):
+    # a second aff8 object has an equal table but classes of its own; the s4
+    # table has another number of classes. With both built, the query still
+    # builds the table of its own group and takes no table from its caller.
+    G, H1, H2 = _fresh_aff8()
+    space = sl.cayley_graph(G)
+    others = (sl.load_bundled_group("aff8"), s4)
+    for other in others:
+        ch.character_table(other)
+    builds = []
+    build = ch.structure_constants
+    monkeypatch.setattr(ch, "structure_constants", lambda G: builds.append(G) or build(G))
+    _QUERIES[name](G, H1, H2, space)
+    assert builds == [G]
+    assert ch.character_table(G).partition is sl.conjugacy_classes(G)
+    assert all(G._character_table is not other._character_table for other in others)
+    with pytest.raises(TypeError, match="ct"):
+        ch.induced_multiplicities(G, H1, ct=ch.character_table(s4))
+
+
+def test_queries_share_one_table_per_group(monkeypatch):
+    # a fresh group object builds its table once, whichever query asks first
+    G, H1, H2 = _fresh_aff8()
     space = sl.cayley_graph(G)
     builds = []
     build = ch.structure_constants
