@@ -5,7 +5,9 @@ certifies or searches for almost conjugate subgroup pairs, ``sunada``
 runs the full Cayley-graph pipeline on a triple, and ``heat`` evaluates
 flat-model indicators and the audibility chain.  All reports are JSON
 with sorted keys and floats normalized to 15 significant digits, so a
-fixed invocation produces byte-identical output.  Exit codes: 0 success,
+fixed invocation produces byte-identical output: the command line is a
+report's only input, and no environment variable changes it; a float
+that is not finite is refused rather than printed.  Exit codes: 0 success,
 2 parse failure or an input that cannot be read (missing, a directory,
 not UTF-8), 3 precondition failure, 4 numerical failure.
 """
@@ -16,7 +18,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -29,7 +30,6 @@ from .errors import (
     SunadaLabError,
 )
 from .permgrp import (
-    DEFAULT_MAX_ORDER,
     DEFAULT_SUBGROUP_BUDGET,
     cycle_string,
     load_group_file,
@@ -38,24 +38,9 @@ from .permgrp import (
     subgroup_generate,
 )
 
-ENV_PREFIX = "SUNADALAB_"
 # Most entries one dense array may hold (320 MB of float64).  Commands
 # that would allocate more fail with exit 3 before they allocate it.
 MAX_DENSE_ENTRIES = 4e7
-
-
-def _env(name, cast, fallback):
-    """Default for a flag from ``SUNADALAB_<name>``; a value that does not
-    parse is a ParseError, not a silent fallback."""
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ParseError(
-            f"{ENV_PREFIX}{name}={raw!r} is not a valid {cast.__name__}"
-        ) from exc
 
 
 def round15(x):
@@ -79,6 +64,8 @@ def _normalize(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise NumericalError(f"a report value is not finite: {float(obj)}")
         return round15(obj)
     if isinstance(obj, np.ndarray):
         return [_normalize(v) for v in obj.tolist()]
@@ -99,17 +86,11 @@ def _emit(report, out_path):
 # ---------------------------------------------------------------------------
 
 def _load_group(args):
-    """Load the group file named in ``args``.  A group whose |G| x |G|
-    arrays, its multiplication table first, would pass MAX_DENSE_ENTRIES
-    is refused before any of them is allocated."""
-    G = load_group_file(args.group, max_order=args.max_order)
-    if G.order**2 > MAX_DENSE_ENTRIES:
-        raise PreconditionError(
-            f"a group of order {G.order} needs {G.order}x{G.order} dense "
-            f"matrices, more than {MAX_DENSE_ENTRIES:.0e} entries each; "
-            f"{args.command} takes orders up to {math.isqrt(int(MAX_DENSE_ENTRIES))}"
-        )
-    return G
+    """Load the group file named in ``args``.  Its |G| x |G| arrays, the
+    multiplication table first, may not pass MAX_DENSE_ENTRIES, so the
+    closure stops with GroupSizeError once it passes isqrt(MAX_DENSE_ENTRIES)
+    elements, before any of them is allocated."""
+    return load_group_file(args.group, max_order=math.isqrt(int(MAX_DENSE_ENTRIES)))
 
 
 def cmd_group_info(args):
@@ -317,7 +298,7 @@ def cmd_heat(args):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-# dest -> (type, fallback, help); SUNADALAB_<DEST> overrides the fallback
+# dest -> (type, default, help)
 _COMMON_FLAGS = {
     "tol": (float, 1e-9, "spectral comparison tolerance"),
     "cluster_tol": (float, None, "eigenvalue clustering tolerance (default: scaled)"),
@@ -326,7 +307,6 @@ _COMMON_FLAGS = {
                "closure budget for subgroup searches: one closure per "
                "N_G(H)-orbit of right cosets of each conjugacy class "
                "representative H"),
-    "max_order": (int, DEFAULT_MAX_ORDER, "largest group order to enumerate"),
     "trace_tol": (float, None, "fail if a truncation bound exceeds this"),
     "out": (str, None, "write the report here instead of stdout"),
 }
@@ -334,9 +314,9 @@ _COMMON_FLAGS = {
 
 def _add_common(p, *dests):
     for dest in dests:
-        cast, fallback, help_text = _COMMON_FLAGS[dest]
+        cast, default, help_text = _COMMON_FLAGS[dest]
         p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=cast,
-                       default=_env(dest.upper(), cast, fallback), help=help_text)
+                       default=default, help=help_text)
 
 
 def build_parser():
@@ -348,7 +328,7 @@ def build_parser():
 
     p = sub.add_parser("group-info", help="order, classes, character table")
     p.add_argument("group", help="group file")
-    _add_common(p, "max_order", "out")
+    _add_common(p, "out")
     p.set_defaults(func=cmd_group_info)
 
     p = sub.add_parser("gassmann", help="certify or search almost conjugate pairs")
@@ -357,7 +337,7 @@ def build_parser():
     p.add_argument("h2", nargs="?", help="second subgroup file")
     p.add_argument("--search", type=int, default=None,
                    help="search all subgroup pairs of this order instead")
-    _add_common(p, "max_order", "budget", "out")
+    _add_common(p, "budget", "out")
     p.set_defaults(func=cmd_gassmann)
 
     p = sub.add_parser("sunada", help="run the Cayley pipeline on a triple")
@@ -367,7 +347,7 @@ def build_parser():
     p.add_argument("--k", default=None, help="subgroup file for the equivalence level")
     p.add_argument("--gens", default=None,
                    help="semicolon-separated connection elements in cycle notation")
-    _add_common(p, "max_order", "cluster_tol", "tol", "out")
+    _add_common(p, "cluster_tol", "tol", "out")
     p.set_defaults(func=cmd_sunada)
 
     p = sub.add_parser("heat", help="flat-model indicators and audibility")

@@ -180,24 +180,28 @@ def heat_trace(spec, t_grid, tol=None):
     list of (eigenvalue, multiplicity) pairs.  Finite spectra are exact
     (tail zero); flat models carry integral-comparison tail bounds, and
     a requested tolerance that some bound exceeds raises TailBoundError.
-    A finite spectrum whose trace is not finite, as a negative eigenvalue
-    far enough below zero makes it, raises NumericalError.
+    A trace or tail bound that is not finite, as a negative eigenvalue far
+    enough below zero or a flat model long enough makes it, raises
+    NumericalError.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.ndim != 1 or len(t_grid) == 0:
         raise PreconditionError("t_grid must be a non-empty 1-D array")
     if np.any(t_grid <= 0) or not np.all(np.isfinite(t_grid)):
         raise PreconditionError("t_grid entries must be positive and finite")
-    if isinstance(spec, FlatModelSpectrum):
-        # a product of factor sums; the eigenvalue list is never built
-        trace, tails = _trace_and_tail(spec, t_grid)
-    else:
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(spec, FlatModelSpectrum):
+            # a product of factor sums; the eigenvalue list is never built
+            trace, tails = _trace_and_tail(spec, t_grid)
+        else:
             trace = _kernels.heat_sum(*_as_value_mult_arrays(spec), t_grid)
-        if not np.all(np.isfinite(trace)):
-            t = t_grid[np.argmin(np.isfinite(trace))]
-            raise NumericalError(f"heat trace is not finite at t = {t:.6g}")
-        tails = np.zeros_like(t_grid)
+            tails = np.zeros_like(t_grid)
+    finite = np.isfinite(trace) & np.isfinite(tails)
+    if not finite.all():
+        t = t_grid[np.argmin(finite)]
+        raise NumericalError(
+            f"heat trace or its tail bound is not finite at t = {t:.6g}"
+        )
     if tol is not None:
         worst = float(tails.max())
         if worst > tol:

@@ -7,10 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sunadalab import _kernels, chartab, cli, heatkit
 from sunadalab.cli import main, round15
+from sunadalab.errors import NumericalError
 from sunadalab.permgrp import bundled_group_path
 
 AFF8 = str(bundled_group_path("aff8.group"))
@@ -153,14 +155,43 @@ def test_sunada_memory_preflight(tmp_path, capsys, monkeypatch, command):
     monkeypatch.setattr(cli, "MAX_DENSE_ENTRIES", 24**2 - 1)
     code, report = run_cli(argv, capsys)
     assert code == 3
-    assert report["error"]["type"] == "PreconditionError"
-    assert "order 24" in report["error"]["message"]
-    assert f"{command} takes orders up to" in report["error"]["message"]
+    assert report["error"]["type"] == "GroupSizeError"
+    assert "max order 23" in report["error"]["message"]
     assert tables == []  # refused before the |G|^2 table
     monkeypatch.setattr(cli, "MAX_DENSE_ENTRIES", 24**2)
     code, report = run_cli(argv, capsys)
     assert code == 0
     assert len(tables) == 1
+
+
+# S7 x C2 (order 10080) and S8 (order 40320), both above isqrt(4e7) = 6324
+_OVERSIZED_GROUPS = {
+    "s7xc2": "degree 9\n(0 1 2 3 4 5 6)\n(0 1)\n(7 8)\n",
+    "s8": "degree 8\n(0 1 2 3 4 5 6 7)\n(0 1)\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERSIZED_GROUPS))
+@pytest.mark.parametrize("command", ["sunada", "group-info", "gassmann"])
+def test_oversized_group_is_refused_by_the_closure(tmp_path, capsys, monkeypatch,
+                                                   command, name):
+    # one guard for every group subcommand: the closure stops past the
+    # dense cap, so no group is closed in full and no table is built
+    group = tmp_path / f"{name}.group"
+    group.write_text(_OVERSIZED_GROUPS[name])
+    h = tmp_path / "h.subgroup"
+    h.write_text("(0 1)\n")
+    argv = [command, str(group)] + ([] if command == "group-info" else [str(h), str(h)])
+    tables = []
+    build = _kernels.mul_table
+    monkeypatch.setattr(
+        _kernels, "mul_table", lambda *args: tables.append(args) or build(*args)
+    )
+    code, report = run_cli(argv, capsys)
+    assert code == 3
+    assert report["error"]["type"] == "GroupSizeError"
+    assert "max order 6324" in report["error"]["message"]
+    assert tables == []
 
 
 def test_sunada_computes_one_character_table(capsys, monkeypatch):
@@ -178,9 +209,9 @@ def test_sunada_computes_one_character_table(capsys, monkeypatch):
 
 # each subcommand declares only the common flags it reads
 _REMOVED_FLAGS = {
-    "group-info": ["--tol", "--cluster-tol", "--nmax", "--budget", "--seed"],
-    "gassmann": ["--tol", "--cluster-tol", "--nmax", "--seed"],
-    "sunada": ["--nmax", "--budget", "--seed"],
+    "group-info": ["--tol", "--cluster-tol", "--nmax", "--budget", "--seed", "--max-order"],
+    "gassmann": ["--tol", "--cluster-tol", "--nmax", "--seed", "--max-order"],
+    "sunada": ["--nmax", "--budget", "--seed", "--max-order"],
     "heat": ["--cluster-tol", "--budget", "--max-order", "--seed"],
 }
 _BASE_ARGV = {
@@ -297,14 +328,27 @@ def test_heat_indicator(capsys):
 
 
 @pytest.mark.parametrize("model", ["circle:1", "interval:1", "torus:1:1"])
-def test_heat_nmax_zero_is_kept(capsys, monkeypatch, model):
+def test_heat_nmax_zero_is_kept(capsys, model):
     code, report = run_cli(["heat", "--model", model, "--nmax", "0"], capsys)
     assert code == 0
     assert report["inputs"][0]["nmax"] == 0
-    monkeypatch.setenv("SUNADALAB_NMAX", "0")
-    code, report = run_cli(["heat", "--model", model], capsys)
-    assert code == 0
-    assert report["inputs"][0]["nmax"] == 0
+
+
+@pytest.mark.parametrize("model", ["circle:1e308", "torus:1e300:1e300", "circle:1e306"])
+def test_heat_non_finite_model_exit_code(capsys, model):
+    # a trace, tail bound or fit residual that overflows is refused; the
+    # report never prints NaN or Infinity, nor a verdict drawn from one
+    code = main(["heat", "--model", model, "--nmax", "3"])
+    out = capsys.readouterr().out
+    assert code == 4
+    assert json.loads(out)["error"]["type"] == "NumericalError"
+    assert "NaN" not in out and "Infinity" not in out
+
+
+def test_normalize_refuses_non_finite_floats():
+    for value in (float("nan"), float("inf"), np.float64(-np.inf)):
+        with pytest.raises(NumericalError, match="not finite"):
+            cli._normalize({"inputs": [{"volume": value}]})
 
 
 def test_heat_torus_volume(capsys):
@@ -455,18 +499,6 @@ def test_bad_tolerance_exit_code(capsys, argv):
     assert "finite and non-negative" in report["error"]["message"]
 
 
-def test_negative_tolerance_from_env_exit_code(capsys, monkeypatch):
-    # an environment default passes the same range check as the flag
-    monkeypatch.setenv("SUNADALAB_TOL", "-1")
-    code, report = run_cli(["sunada", AFF8, AFF8_H1, AFF8_H2], capsys)
-    assert code == 3
-    assert report["error"] == {
-        "type": "PreconditionError",
-        "message": "--tol must be finite and non-negative, got -1.0",
-        "exit_code": 3,
-    }
-
-
 def _spectrum_files(tmp_path, *mults):
     paths = []
     for i, mult in enumerate(mults):
@@ -572,9 +604,7 @@ def test_reports_are_byte_identical(tmp_path):
 @pytest.mark.parametrize("name", sorted(WORKLOADS.CLI_COMMANDS))
 def test_bundled_report_matches_reference(name, capsys, monkeypatch):
     # the benchmark's cli-bundled commands, run in-process from the repo
-    # root without SUNADALAB_* defaults, must print its references exactly
-    for var in [v for v in os.environ if v.startswith("SUNADALAB_")]:
-        monkeypatch.delenv(var)
+    # root, must print its references exactly
     monkeypatch.chdir(ROOT)
     assert main(WORKLOADS.CLI_COMMANDS[name]) == 0
     out = capsys.readouterr().out
@@ -584,8 +614,6 @@ def test_bundled_report_matches_reference(name, capsys, monkeypatch):
 @pytest.mark.parametrize("name", sorted(WORKLOADS.CLI_COMMANDS))
 def test_out_file_holds_the_printed_bytes(name, tmp_path, capsys, monkeypatch):
     # the commands cover all four subcommands
-    for var in [v for v in os.environ if v.startswith("SUNADALAB_")]:
-        monkeypatch.delenv(var)
     monkeypatch.chdir(ROOT)
     argv = WORKLOADS.CLI_COMMANDS[name]
     assert main(argv) == 0
@@ -616,7 +644,7 @@ def test_bundled_commands_do_not_import_numpy_ma():
     # numpy.ma costs about 16 ms of import and 0.8 MB of memory; np.unique
     # with axis= and np.setdiff1d import it on first use.  numpy.random
     # costs about 15 ms and 6 MB; only seeded weights use its generator
-    env = {k: v for k, v in os.environ.items() if not k.startswith("SUNADALAB_")}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
@@ -634,28 +662,28 @@ def test_bundled_commands_do_not_import_numpy_ma():
     assert result["numpy.random"] is False
 
 
-def test_env_overrides(tmp_path, capsys, monkeypatch):
-    out = tmp_path / "env.json"
-    monkeypatch.setenv("SUNADALAB_OUT", str(out))
-    assert main(["group-info", S3]) == 0
-    assert capsys.readouterr().out == ""
-    assert json.loads(out.read_text())["order"] == 6
-    monkeypatch.delenv("SUNADALAB_OUT")
-    monkeypatch.setenv("SUNADALAB_TRACE_TOL", "1e-9")
-    code, report = run_cli(["heat", "--model", "circle:6.2832", "--nmax", "50"], capsys)
-    assert code == 4
+# values that each changed a bundled report when the environment set a
+# common flag's default
+_FORMER_ENV_DEFAULTS = {
+    "SUNADALAB_TOL": "0",
+    "SUNADALAB_CLUSTER_TOL": "0.5",
+    "SUNADALAB_NMAX": "5",
+    "SUNADALAB_BUDGET": "1",
+    "SUNADALAB_MAX_ORDER": "1",
+    "SUNADALAB_TRACE_TOL": "1e-300",
+}
 
 
-@pytest.mark.parametrize(
-    "var, value", [("SUNADALAB_MAX_ORDER", "abc"), ("SUNADALAB_BUDGET", "x")]
-)
-def test_bad_env_value_exit_code(capsys, monkeypatch, var, value):
-    monkeypatch.setenv(var, value)
-    code, report = run_cli(["group-info", S3], capsys)
-    assert code == 2
-    assert report["error"]["type"] == "ParseError"
-    assert report["error"]["exit_code"] == 2
-    assert var in report["error"]["message"]
+@pytest.mark.parametrize("name", sorted(WORKLOADS.CLI_COMMANDS))
+def test_environment_does_not_change_a_report(name, tmp_path, capsys, monkeypatch):
+    for var, value in _FORMER_ENV_DEFAULTS.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setenv("SUNADALAB_OUT", str(tmp_path / "report.json"))
+    monkeypatch.chdir(ROOT)
+    assert main(WORKLOADS.CLI_COMMANDS[name]) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (WORKLOADS.REFS / f"{name}.out").read_bytes()
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_console_script_smoke():

@@ -188,6 +188,17 @@ def test_finite_trace_overflow_is_a_numerical_error():
     assert curve.values[0] == pytest.approx(1.0 + 2.0 * np.exp(-1e-3))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [hk.circle_spectrum(1e308, 3), hk.rect_torus_spectrum(1e300, 1e300, 3)],
+    ids=["circle-nan-tail", "torus-infinite-tail"],
+)
+def test_flat_model_overflow_is_a_numerical_error(spec):
+    # a model too long for float64 overflows its trace or tail bound
+    with pytest.raises(NumericalError, match="not finite at t = 0.0001"):
+        hk.heat_trace(spec, [1e-4, 1e-3])
+
+
 def test_trace_tolerance_gate():
     spec = hk.circle_spectrum(2 * np.pi, 5)
     with pytest.raises(TailBoundError) as info:

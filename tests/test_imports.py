@@ -4,7 +4,8 @@ The ``_kernels`` module itself may be imported.  numpy's generator is used
 only for seeded weights, in ``quotspec.coset_gspace`` and
 ``quotspec.perturb_invariant_weights``, so a process that only builds
 character tables never imports ``numpy.random``.  Every name a module
-other than ``__init__`` imports is read in that module."""
+other than ``__init__`` imports is read in that module.  No module reads
+the environment: the command line is a report's only input."""
 
 import ast
 from pathlib import Path
@@ -159,3 +160,41 @@ def test_numpy_random_rule_catches_both_spellings():
     tree = ast.parse(source)
     assert _numpy_random_uses(tree) == [1, 2, 3, 4, 5, 8]
     assert _numpy_random_uses(tree, ("coset_gspace",)) == [1, 2, 3, 4, 5]
+
+
+_ENVIRONMENT_NAMES = ("environ", "getenv")
+
+
+def _environment_reads(tree):
+    """Line of each ``os.environ`` or ``os.getenv`` reference, as an
+    attribute of ``os`` or in a ``from os import``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr in _ENVIRONMENT_NAMES and getattr(node.value, "id", None) == "os"
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "os" and any(
+                alias.name in _ENVIRONMENT_NAMES for alias in node.names
+            )
+        else:
+            hit = False
+        if hit:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    assert _environment_reads(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_environment_rule_catches_both_forms():
+    source = (
+        "import os\n"
+        "os.environ.get('SUNADALAB_TOL')\n"
+        "os.getenv('SUNADALAB_TOL')\n"
+        "from os import environ, sep\n"
+        "from os import getenv\n"
+        "os.path.join(os.sep, 'environ')\n"
+    )
+    assert _environment_reads(ast.parse(source)) == [2, 3, 4, 5]
