@@ -187,8 +187,19 @@ def induced_multiplicities(G, H):
     """Multiplicity of each irreducible of ``character_table(G)`` in
     Ind_H^G 1, the coset representation of G on G/H.  By Frobenius
     reciprocity it is also the dimension of the H-fixed vectors of each
-    irreducible, (1/|H|) sum_{h in H} chi(h): one pairing, two readings."""
-    return multiplicities(character_table(G), permutation_character(G, H))
+    irreducible, (1/|H|) sum_{h in H} chi(h): one pairing, two readings.
+
+    H's class counts fix |H|, their sum, and so its permutation
+    character; the result is kept on G under those counts, so subgroups
+    with one permutation character, such as the members of a Gassmann
+    pair, share one pairing."""
+    counts = class_intersection_counts(G, H)
+    m = G._induced.get(counts)
+    if m is None:
+        m = G._induced[counts] = multiplicities(
+            character_table(G), permutation_character(G, H)
+        )
+    return m
 
 
 def irreps_with_fixed_vectors(G, K):

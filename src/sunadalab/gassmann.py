@@ -15,13 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .chartab import (
-    character_table,
     induced_multiplicities,
     irreps_with_fixed_vectors,
-    multiplicities,
     permutation_character,
 )
 from .errors import PreconditionError
@@ -74,7 +70,8 @@ def triple_report(G, H1, H2):
     The counting route and the representation route must agree; a
     disagreement would mean a numerical fault, not a mathematical one,
     so it is raised rather than reported.  The representation route
-    pairs both permutation characters with ``character_table(G)``.
+    compares the two subgroups' ``induced_multiplicities``, which a pair
+    with equal class counts shares.
     """
     if H1.order != H2.order:
         raise PreconditionError(
@@ -83,9 +80,7 @@ def triple_report(G, H1, H2):
     c1 = class_intersection_counts(G, H1)
     c2 = class_intersection_counts(G, H2)
     ac = c1 == c2
-    pc = permutation_character(G, H1)
-    m = multiplicities(character_table(G), [pc, permutation_character(G, H2)])
-    rep_eq = bool(np.array_equal(m[0], m[1]))
+    rep_eq = induced_multiplicities(G, H1) == induced_multiplicities(G, H2)
     if ac != rep_eq:
         raise PreconditionError(
             "class counting and character multiplicities disagree; "
@@ -98,7 +93,7 @@ def triple_report(G, H1, H2):
         class_counts_h2=c2,
         almost_conjugate=ac,
         conjugate=are_conjugate_subgroups(G, H1, H2),
-        perm_char=pc,
+        perm_char=permutation_character(G, H1),
     )
 
 

@@ -233,7 +233,8 @@ def constant_term_estimate(spec, t_grid=None):
     against t over (at least) a decade of small times.  Verdict is
     ``singular`` when the constant clears ``SINGULARITY_THRESHOLD`` in
     absolute value, ``smooth`` when it does not, and ``inconclusive`` when
-    the truncation bound or the fit residual is too large to trust either.
+    the truncation bound, the fit residual or the exponentially small
+    corrections (``_dual_term_bound``) are too large to trust either.
     """
     if not isinstance(spec, FlatModelSpectrum) or spec.dim != 1:
         raise PreconditionError(
@@ -257,7 +258,7 @@ def constant_term_estimate(spec, t_grid=None):
     leading = float(curve.values[0] * np.sqrt(4.0 * np.pi * t_grid[0]))
     tail_max = curve.max_tail()
     threshold = SINGULARITY_THRESHOLD
-    if tail_max > threshold / 2.0 or residual > threshold / 2.0:
+    if max(tail_max, residual, _dual_term_bound(spec, t_grid[-1])) > threshold / 2.0:
         verdict = "inconclusive"
     elif abs(constant) > threshold:
         verdict = "singular"
@@ -271,6 +272,22 @@ def constant_term_estimate(spec, t_grid=None):
         residual=residual,
         tail_bound_max=tail_max,
     )
+
+
+def _dual_term_bound(spec, t):
+    """Bound on the exponentially small corrections to a one-dimensional
+    trace at time t.  By Poisson summation a factor (c, mult) of length L
+    contributes (mult/2) (L/c) sqrt(pi/t) * 2 sum_{k>=1} exp(-b k^2) with
+    b = (pi L / c)^2 / t, at most mult (L/c) sqrt(pi/t) e^{-b} / (1 - e^{-b}).
+    The bound grows with t, so the largest sample time bounds the whole
+    fit window.  When L^2 is small against t the terms are not small, and
+    the fitted intercept is not the constant term."""
+    total = 0.0
+    with np.errstate(over="ignore"):
+        for L, (c, mult) in zip(spec.lengths, spec.factors):
+            b = np.square(np.pi * L / c) / t
+            total += mult * (L / c) * np.sqrt(np.pi / t) * np.exp(-b) / -np.expm1(-b)
+    return float(total)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,9 @@ class PermutationGroup:
         # element tuple of each subgroup -> its number of elements in each
         # conjugacy class, the one fact every character query reads
         self._class_counts = {}
+        # class-count tuple -> ``chartab.induced_multiplicities`` of every
+        # subgroup with those counts, which share one permutation character
+        self._induced = {}
         # (table, degrees) of the group's character table once
         # ``chartab.character_table`` has computed it
         self._character_table = None
@@ -420,12 +423,17 @@ def _record_class(G, elements):
     """The conjugacy class of the subgroup with these sorted element
     indices, as a set of element tuples, and its normalizer N_G(H), the
     columns of the one ``conjugate_by_all`` gather that equal H.  Every
-    member is entered in ``G._class_label``."""
+    member is entered in ``G._class_label``.
+
+    g H g^{-1} depends only on the left coset g N_G(H), so only the
+    column of each coset's least element becomes a tuple: [G:N_G(H)]
+    columns rather than |G|."""
     orbit = conjugate_by_all(G, Subgroup(parent=G, elements=elements))
-    conjugates = set(map(tuple, orbit.T.tolist()))
+    normalizer = np.flatnonzero(np.all(orbit == np.asarray(elements)[:, None], axis=0))
+    coset_reps = np.flatnonzero(G.table[:, normalizer].min(axis=1) == np.arange(G.order))
+    conjugates = set(map(tuple, orbit[:, coset_reps].T.tolist()))
     label = min(conjugates)
     G._class_label.update(dict.fromkeys(conjugates, label))
-    normalizer = np.flatnonzero(np.all(orbit == np.asarray(elements)[:, None], axis=0))
     return conjugates, normalizer
 
 

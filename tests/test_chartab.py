@@ -162,6 +162,46 @@ def test_permutation_character_on_random_groups(degree_and_gens, data):
     _check_permutation_character(G, H, reps, coset_oracle=True)
 
 
+def _check_cached_multiplicities(G):
+    """Every subgroup's kept multiplicities equal a pairing made afresh,
+    and G keeps one entry per class-count tuple."""
+    subs = sl.all_subgroups(G)
+    for H in subs:
+        m = ch.induced_multiplicities(G, H)
+        assert G._induced[gs.class_intersection_counts(G, H)] is m
+        assert m == ch.multiplicities(ch.character_table(G), ch.permutation_character(G, H))
+    assert set(G._induced) == {gs.class_intersection_counts(G, H) for H in subs}
+
+
+def test_cached_multiplicities_on_bundled_groups(groups):
+    for G in [*groups.values(), sl.load_bundled_group("psl211")]:
+        _check_cached_multiplicities(G)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.permutations(list(range(n))), max_size=3))
+))
+def test_cached_multiplicities_on_random_groups(degree_and_gens):
+    degree, gens = degree_and_gens
+    _check_cached_multiplicities(sl.generate_group(degree, [sl.Permutation(g) for g in gens]))
+
+
+def test_one_pairing_per_class_count_tuple_in_s5(monkeypatch):
+    # S5's 156 subgroups fall into 19 conjugacy classes, no two of them
+    # almost conjugate, so 19 permutation characters and 19 pairings
+    G = sl.generate_group(5, [sl.parse_cycles("(0 1 2 3 4)", 5), sl.parse_cycles("(0 1)", 5)])
+    subs = sl.all_subgroups(G)
+    pairings = []
+    pair = ch.multiplicities
+    monkeypatch.setattr(
+        ch, "multiplicities", lambda ct, values: pairings.append(values) or pair(ct, values)
+    )
+    for H in subs:
+        ch.induced_multiplicities(G, H)
+    assert (len(subs), len(pairings), len(G._induced)) == (156, 19, 19)
+
+
 def test_permutation_character_rejects_foreign_subgroup(s3):
     other = sl.load_bundled_group("s3")
     with pytest.raises(NotASubgroupError):

@@ -327,6 +327,24 @@ def test_heat_indicator(capsys):
     assert abs(ind["constant"] - 0.5) < 0.01
 
 
+@pytest.mark.parametrize(
+    "model, verdict",
+    [
+        ("circle:0.001", "inconclusive"),
+        ("interval:0.001", "inconclusive"),
+        ("circle:1", "smooth"),
+        ("interval:1", "singular"),
+    ],
+)
+def test_heat_short_model_is_inconclusive(capsys, model, verdict):
+    # at L = 0.001 the fit window t <= 1e-3 lies far above L^2, where the
+    # exponentially small corrections are not small: the fitted constant
+    # reads about 0.98, and no verdict may be drawn from it
+    code, report = run_cli(["heat", "--model", model], capsys)
+    assert code == 0
+    assert report["inputs"][0]["indicator"]["verdict"] == verdict
+
+
 @pytest.mark.parametrize("model", ["circle:1", "interval:1", "torus:1:1"])
 def test_heat_nmax_zero_is_kept(capsys, model):
     code, report = run_cli(["heat", "--model", model, "--nmax", "0"], capsys)
@@ -641,9 +659,10 @@ print(json.dumps({
 
 
 def test_bundled_commands_do_not_import_numpy_ma():
-    # numpy.ma costs about 16 ms of import and 0.8 MB of memory; np.unique
-    # with axis= and np.setdiff1d import it on first use.  numpy.random
-    # costs about 15 ms and 6 MB; only seeded weights use its generator
+    # numpy.ma costs about 16 ms of import and 0.8 MB of memory; np.unique,
+    # with or without axis=, and np.setdiff1d import it on first use.
+    # numpy.random costs about 15 ms and 6 MB; only seeded weights use its
+    # generator
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])

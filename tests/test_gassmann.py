@@ -179,18 +179,36 @@ def test_one_class_count_per_subgroup():
         assert gs.triple_report(fresh, *subgroups) == report
 
 
-def test_disagreement_raises_with_cached_characters(s4, monkeypatch):
+def test_disagreement_raises_with_cached_characters(monkeypatch):
     # a pair that is not almost conjugate, and a table with only the
-    # trivial row, under which every coset character looks the same
+    # trivial row, under which every coset character looks the same; the
+    # group is fresh, since the multiplicities it caches are wrong
+    s4 = sl.load_bundled_group("s4")
     subs = sl.subgroups_of_order(s4, 2)
     H1, H2 = subs[0], next(H for H in subs if not gs.almost_conjugate(s4, subs[0], H))
-    assert not gs.triple_report(s4, H1, H2).almost_conjugate  # caches both class counts
-    ct = sl.character_table(s4)
+    ct = sl.character_table(s4)  # the true table and both class counts are cached
+    assert not s4._induced
     trivial_only = chartab.CharacterTable(
         group=s4, partition=ct.partition, table=ct.table[:1], degrees=ct.degrees[:1]
     )
-    monkeypatch.setattr(gs, "character_table", lambda G: trivial_only)
+    monkeypatch.setattr(chartab, "character_table", lambda G: trivial_only)
     with pytest.raises(PreconditionError, match="disagree"):
         gs.triple_report(s4, H1, H2)
+
+
+def test_one_pairing_per_permutation_character(monkeypatch):
+    # the 14 order-24 subgroups in the 49 Perlis pairs share one class-count
+    # tuple, so one permutation character and one pairing with the table
+    G = _psl32()
+    pairs = gs.gassmann_search(G, 24)
+    pairings = []
+    pair = chartab.multiplicities
+    monkeypatch.setattr(
+        chartab, "multiplicities", lambda ct, values: pairings.append(values) or pair(ct, values)
+    )
+    reports = [gs.triple_report(G, H1, H2) for H1, H2 in pairs]
+    assert len(reports) == 49 and all(r.almost_conjugate for r in reports)
+    assert len(pairings) == 1
+    assert list(G._induced) == [reports[0].class_counts_h1]
 
 

@@ -256,6 +256,32 @@ def test_detector_inconclusive_when_truncated():
     assert ind.tail_bound_max > ind.threshold / 2
 
 
+@pytest.mark.parametrize("make", [hk.circle_spectrum, hk.interval_neumann_spectrum])
+def test_detector_inconclusive_when_model_is_short(make):
+    # L^2 = 1e-6 lies far below the fit window t <= 1e-3, so the dual terms
+    # of the trace swamp the constant: the fit reads about 0.98 either way
+    short = hk.constant_term_estimate(make(0.001, 20000))
+    assert abs(short.constant - 0.975) < 0.01
+    assert short.verdict == "inconclusive"
+    assert short.tail_bound_max < short.threshold / 2
+    assert short.residual < short.threshold / 2
+    # at L = pi and 2 pi, b = (pi L / c)^2 / t is about 9870: no dual term
+    for L in (np.pi, 2 * np.pi):
+        assert hk._dual_term_bound(make(L, 10), 1e-3) == 0.0
+    expect = "smooth" if make is hk.circle_spectrum else "singular"
+    assert hk.constant_term_estimate(make(1.0, 20000)).verdict == expect
+
+
+def test_dual_term_bound_matches_the_poisson_sum():
+    # circle of length L: sum_n exp(-(2 pi n / L)^2 t) = L / sqrt(4 pi t) *
+    # sum_k exp(-(k L)^2 / (4 t)), so the dual terms are the k != 0 part
+    L, t = 0.1, 1e-3
+    n = np.arange(-2000, 2001)
+    exact = np.exp(-((2 * np.pi * n / L) ** 2) * t).sum() - L / np.sqrt(4 * np.pi * t)
+    bound = hk._dual_term_bound(hk.circle_spectrum(L, 10), t)
+    assert 0.1 < exact <= bound < 1.1 * exact
+
+
 def test_detector_grid_validation():
     spec = hk.interval_neumann_spectrum(np.pi, 100)
     with pytest.raises(PreconditionError):

@@ -356,6 +356,42 @@ def test_conjugate_by_all_matches_each_conjugate(s4):
             )
 
 
+def _s5():
+    return generate_group(5, [parse_cycles("(0 1 2 3 4)", 5), parse_cycles("(0 1)", 5)])
+
+
+@pytest.mark.parametrize("name", ["s4", "aff8", "s5"])
+def test_record_class_matches_the_full_gather(name):
+    # one column per left coset g N_G(H) gives every conjugate g H g^{-1}
+    G = _s5() if name == "s5" else sl.load_bundled_group(name)
+    for H in sl.all_subgroups(G):
+        full = conjugate_by_all(G, H)
+        conjugates, normalizer = permgrp._record_class(G, H.elements)
+        assert conjugates == set(map(tuple, full.T.tolist()))
+        want = [g for g in range(G.order) if full[:, g].tolist() == list(H.elements)]
+        assert normalizer.tolist() == want
+        assert {G._class_label[c] for c in conjugates} == {min(conjugates)}
+
+
+def test_record_class_memory():
+    # A6 is normal in S6: its one conjugate becomes a tuple, not 720 copies
+    G = generate_group(6, [parse_cycles("(0 1 2 3 4 5)", 6), parse_cycles("(0 1)", 6)])
+    A6 = sl.subgroup_generate(
+        G, [G.index_of(parse_cycles(f"(0 1 {i})", 6)) for i in range(2, 6)]
+    )
+    assert A6.order == 360
+    G.inverses  # the table exists before the measurement
+    tracemalloc.start()
+    try:
+        conjugates, normalizer = permgrp._record_class(G, A6.elements)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert conjugates == {A6.elements}
+    assert len(normalizer) == G.order
+    assert peak < 5 << 20
+
+
 @pytest.mark.parametrize("name", ["s4", "aff8"])
 def test_are_conjugate_matches_oracle(name, monkeypatch):
     """On every pair of subgroups, the cached class labels agree with the
