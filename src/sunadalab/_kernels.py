@@ -7,7 +7,11 @@ Conventions shared by all kernels:
 * ``table[i, j]`` is the index of the composition ``elems[i] ∘ elems[j]``
   (apply j first);
 * class indices are assigned in order of each class's minimal element,
-  so the identity's class is always class 0.
+  so the identity's class is always class 0;
+* a right coset Hx of a subgroup is named by its least element, its
+  label, so H itself is coset 0.  Since (Hx)s = H(xs), right
+  multiplication maps cosets to cosets, and the subgroup closure walks
+  labels rather than elements.
 """
 
 import numpy as np
@@ -50,47 +54,61 @@ def mul_table(elems, gens, lookup):
     return table
 
 
-def closure(table, gens, base=None, limit=None):
+def right_cosets(table, H, gens):
+    """The right cosets of H = <gens>, given as H's sorted element indices.
+
+    Returns one plain record ``(label, lab, succ, order)``: ``label[x]``
+    is the least element of Hx, which names that coset, as an array and
+    as the list ``lab``; ``succ[k][l]`` is the label of H(l s) for the
+    k-th generator s of H, one list per generator; ``order`` is |H|.
+    ``closure`` only reads the record, so one record serves every
+    closure <H, g>.
+    """
+    label = table[H].min(axis=0)
+    succ = label[table[:, gens]].T.tolist()
+    return label, label.tolist(), succ, len(H)
+
+
+def closure(table, gens, cosets=None, limit=None):
     """Sorted indices of the subgroup generated by ``gens`` (identity included).
 
-    Coset extension (Dimino's algorithm): K = <H, g> is kept as a union of
-    right cosets Hx, starting from H.  Each coset representative x is
-    multiplied on the right by each generator s of K; since (Hx)s = H(xs),
-    a product outside K adds its whole coset in one ``table[H, xs]``
-    gather.  A union of right cosets of H that contains H and is closed
-    under right multiplication by the generators is K.
+    Coset extension (Dimino's algorithm) on coset labels.  ``cosets`` is
+    the ``right_cosets`` record of H = <gens[:k]>, k its number of
+    generators; K = <gens> is a union of right cosets Hx of H.  Since
+    (Hx)s = H(xs), the coset with label l goes to H(l s), whose label is
+    ``lab[table[l, s]]``, for each added generator s in ``gens[k:]``,
+    and to the cosets ``succ[j][l]`` under the generators of H.  The
+    cosets reached from H itself (label 0) make a union of right cosets
+    that contains H and is closed under right multiplication by every
+    generator, which is K.  One breadth-first walk over labels adds all
+    of ``gens[k:]``; the enumerator adds one, and without ``cosets`` the
+    walk starts from the trivial subgroup, whose cosets are the elements.
 
-    With ``base`` (the element indices of the subgroup generated by
-    ``gens[:-1]``) only the last generator is added; without it the generators are added one at a
-    time from the trivial subgroup.  Once the subgroup being built has
-    more than ``limit`` elements the kernel stops and returns an empty
-    array.
+    Once the subgroup being built has more than ``limit`` elements the
+    kernel stops and returns an empty array.
     """
-    gens = np.asarray(gens, dtype=np.int64)
     limit = table.shape[0] if limit is None else limit
-    if base is not None:
-        return _extend(table, np.asarray(base, dtype=np.int64), gens, limit)
-    members = np.zeros(1, dtype=np.int64)
-    for k in range(gens.size):
-        members = _extend(table, members, gens[: k + 1], limit)
-        if members.size == 0:
-            break
-    return members
-
-
-def _extend(table, H, gens, limit):
-    """<H, gens[-1]> for H = <gens[:-1]>, or an empty array past ``limit``."""
-    member = np.zeros(table.shape[0], dtype=bool)
-    member[H] = True
-    reps = [0]
-    for x in reps:  # the representatives grow while they are walked
-        for y in table[x, gens].tolist():
-            if not member[y]:
-                member[table[H, y]] = True
-                reps.append(y)
-        if H.size * len(reps) > limit:
+    if cosets is None:  # the trivial subgroup's record: each coset is one element
+        cosets = np.arange(table.shape[0]), range(table.shape[0]), [], 1
+    label, lab, succ, order = cosets
+    new = [int(s) for s in gens[len(succ):]]
+    reached = bytearray(table.shape[0])
+    reached[0] = 1
+    queue = [0]
+    for l in queue:  # the queue grows while it is walked
+        for s in new:
+            m = lab[table[l, s]]
+            if not reached[m]:
+                reached[m] = 1
+                queue.append(m)
+        for row in succ:
+            m = row[l]
+            if not reached[m]:
+                reached[m] = 1
+                queue.append(m)
+        if order * len(queue) > limit:
             return np.empty(0, dtype=np.int64)
-    return np.flatnonzero(member)
+    return np.flatnonzero(np.frombuffer(reached, dtype=bool)[label])
 
 
 def conjugacy_partition(table, inv):

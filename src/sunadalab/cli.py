@@ -378,7 +378,7 @@ _EXIT_CODES = (
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        for dest in ("tol", "cluster_tol", "trace_tol"):
+        for dest in ("tol", "cluster_tol", "trace_tol", "budget"):
             value = getattr(args, dest, None)
             if value is not None and not (0 <= value < math.inf):
                 raise PreconditionError(

@@ -413,25 +413,32 @@ def conjugate_subgroup(G, H, g):
 
 def conjugate_by_all(G, H):
     """Column g holds the sorted elements of g H g^{-1}; shape |H| x |G|."""
+    return np.sort(_conjugate_columns(G, H.elements), axis=0)
+
+
+def _conjugate_columns(G, elements):
+    """Column g holds g h g^{-1} for each of these element indices h, in
+    their order; shape |H| x |G|."""
     g = np.arange(G.order)
     table = G.table
-    conj = table[g, table[H.indices()[:, None], G.inverses[g]]]
-    return np.sort(conj, axis=0)
+    return table[g, table[np.asarray(elements)[:, None], G.inverses]]
 
 
 def _record_class(G, elements):
-    """The conjugacy class of the subgroup with these sorted element
-    indices, as a set of element tuples, and its normalizer N_G(H), the
-    columns of the one ``conjugate_by_all`` gather that equal H.  Every
-    member is entered in ``G._class_label``.
+    """The conjugacy class of the subgroup H with these sorted element
+    indices, as a set of element tuples, and its normalizer N_G(H): the
+    columns of one unsorted ``_conjugate_columns`` gather whose entries
+    all lie in H.  Every member is entered in ``G._class_label``.
 
     g H g^{-1} depends only on the left coset g N_G(H), so only the
-    column of each coset's least element becomes a tuple: [G:N_G(H)]
-    columns rather than |G|."""
-    orbit = conjugate_by_all(G, Subgroup(parent=G, elements=elements))
-    normalizer = np.flatnonzero(np.all(orbit == np.asarray(elements)[:, None], axis=0))
+    column of each coset's least element is sorted and becomes a tuple:
+    [G:N_G(H)] columns rather than |G|."""
+    orbit = _conjugate_columns(G, elements)
+    member = np.zeros(G.order, dtype=bool)
+    member[list(elements)] = True
+    normalizer = np.flatnonzero(member[orbit].all(axis=0))
     coset_reps = np.flatnonzero(G.table[:, normalizer].min(axis=1) == np.arange(G.order))
-    conjugates = set(map(tuple, orbit[:, coset_reps].T.tolist()))
+    conjugates = set(map(tuple, np.sort(orbit[:, coset_reps], axis=0).T.tolist()))
     label = min(conjugates)
     G._class_label.update(dict.fromkeys(conjugates, label))
     return conjugates, normalizer
@@ -467,7 +474,7 @@ def _enumerate_subgroups(G, record, grow, budget, limit):
     with n in N is covered, because <H, n g n^{-1}> = n <H, g> n^{-1}.  At
     the trivial subgroup that is one closure per non-identity conjugacy
     class of elements.  A closure that is not yet known has its whole
-    class computed with one ``conjugate_by_all`` gather, which also gives
+    class computed with one ``_conjugate_columns`` gather, which also gives
     its normalizer; every member becomes known, and the closure is the
     class's representative.  A closure that is known is dropped.
 
@@ -489,10 +496,11 @@ def _enumerate_subgroups(G, record, grow, budget, limit):
     <H, g> stops once it outgrows the limit.  The budget counts closure
     computations, one per orbit of right cosets tried.  The stack keeps
     each representative's generators, the g's along its path, for the
-    coset extension, and its normalizer.  Every class computed is entered
-    in ``G._class_label``; the drop test reads this call's own ``known``
-    set, since a class known from an earlier call has no representative
-    on this call's stack.
+    coset extension, and its normalizer; its right cosets are labelled
+    once, when it is popped, and every closure from it reads that record.
+    Every class computed is entered in ``G._class_label``; the drop test
+    reads this call's own ``known`` set, since a class known from an
+    earlier call has no representative on this call's stack.
     """
     table = G.table
     trivial = (0,)
@@ -506,6 +514,7 @@ def _enumerate_subgroups(G, record, grow, budget, limit):
         covered = np.zeros(G.order, dtype=bool)
         covered[current] = True
         normalizer_inv = G.inverses[normalizer]
+        cosets = _kernels.right_cosets(table, current, gens)
         for g in range(1, G.order):
             if covered[g]:
                 continue
@@ -516,7 +525,7 @@ def _enumerate_subgroups(G, record, grow, budget, limit):
                 raise BudgetExceededError(
                     f"subgroup enumeration exceeded budget of {budget} closures"
                 )
-            grown = tuple(_kernels.closure(table, gens + [g], current, limit).tolist())
+            grown = tuple(_kernels.closure(table, gens + [g], cosets, limit).tolist())
             if not grown or grown in known:  # empty: outgrew the limit
                 continue
             conjugates, grown_normalizer = _record_class(G, grown)

@@ -134,6 +134,21 @@ def test_gassmann_search_order_below_one_exit_code(capsys, order):
     assert f"at least 1, got {order}" in report["error"]["message"]
 
 
+def test_negative_budget_is_refused_by_name(capsys):
+    code, report = run_cli(["gassmann", S3, "--search", "2", "--budget", "-1"], capsys)
+    assert code == 3
+    assert report["error"]["type"] == "PreconditionError"
+    assert "--budget must be finite and non-negative, got -1" in report["error"]["message"]
+    # a zero budget is in range: it allows no closure, and a search that
+    # needs none (the trivial subgroup alone) succeeds
+    code, report = run_cli(["gassmann", S3, "--search", "1", "--budget", "0"], capsys)
+    assert code == 0
+    assert report["num_pairs"] == 0
+    code, report = run_cli(["gassmann", S3, "--search", "2", "--budget", "0"], capsys)
+    assert code == 3
+    assert report["error"]["type"] == "BudgetExceededError"
+
+
 def test_nonclosed_subgroup_exit_code(tmp_path, capsys):
     bad = tmp_path / "h.subgroup"
     bad.write_text("(0 1 2 3 4 5 6 7)\n")  # generates more than it lists

@@ -98,18 +98,42 @@ def test_closure_extends_base_up_to_limit(lattices, name, data):
     g = data.draw(st.integers(0, len(rows) - 1))
     limit = data.draw(st.integers(1, len(rows)))
     index = {row: i for i, row in enumerate(rows)}
-    h_gens = []  # a generating set of H, one element at a time
-    for h in H:
-        if h not in oracles.subgroup_closure(rows, [rows[i] for i in h_gens]):
-            h_gens.append(index[h])
+    h_gens = _generators(rows, H)
     base = np.array(sorted(index[h] for h in H), dtype=np.int64)
-    got = K.closure(table, h_gens + [g], base, limit)
+    got = K.closure(table, h_gens + [g], K.right_cosets(table, base, h_gens), limit)
     assert got.dtype == np.int64
     expect = oracles.subgroup_closure(rows, H + [rows[g]])
     if len(expect) <= limit:
         assert got.tolist() == sorted(index[k] for k in expect)
     else:
         assert got.size == 0
+
+
+def _generators(rows, H):
+    """Indices of a generating set of H, added one element at a time."""
+    index = {row: i for i, row in enumerate(rows)}
+    gens = []
+    for h in H:
+        if h not in oracles.subgroup_closure(rows, [rows[i] for i in gens]):
+            gens.append(index[h])
+    return gens
+
+
+@pytest.mark.parametrize("name", ["s4", "aff8"])
+def test_one_coset_record_serves_every_closure(lattices, name):
+    """One ``right_cosets`` record per subgroup H, read by the closure
+    <H, g> for every g in G in turn: a walk that wrote to the shared
+    lists would spoil the closures after it."""
+    rows, table, subgroups = lattices[name]
+    index = {row: i for i, row in enumerate(rows)}
+    for H in subgroups:
+        h_gens = _generators(rows, H)
+        base = np.array(sorted(index[h] for h in H), dtype=np.int64)
+        cosets = K.right_cosets(table, base, h_gens)
+        for g in range(len(rows)):
+            got = K.closure(table, h_gens + [g], cosets, len(rows))
+            expect = oracles.subgroup_closure(rows, H + [rows[g]])
+            assert got.tolist() == sorted(index[k] for k in expect)
 
 
 def test_conjugacy_against_bruteforce(s4_images):

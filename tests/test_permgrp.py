@@ -325,6 +325,25 @@ def test_s5_lattice():
     _check_lattice_by_order(_s5(), 156)
 
 
+def test_s6_lattice():
+    # 1455 subgroups in 56 conjugacy classes; each order's own search
+    # finds the same subgroups, split into classes the same way
+    G = generate_group(
+        6, [parse_cycles("(0 1 2 3 4 5)", 6), parse_cycles("(0 1)", 6)]
+    )
+    everything = sl.all_subgroups(G)
+    assert len(everything) == 1455
+    classes = 0
+    for m in range(1, G.order + 1):
+        if G.order % m == 0:
+            subs, ids = sl.subgroup_classes_of_order(G, m)
+            assert [H.elements for H in subs] == [
+                H.elements for H in everything if H.order == m
+            ]
+            classes += len(set(ids))
+    assert classes == 56
+
+
 def test_are_conjugate(s3, aff8_triple):
     a = sl.subgroup_generate(s3, [s3.index_of(sl.parse_cycles("(0 1)", 3))])
     b = sl.subgroup_generate(s3, [s3.index_of(sl.parse_cycles("(1 2)", 3))])
@@ -401,9 +420,9 @@ def test_are_conjugate_matches_oracle(name, monkeypatch):
     warm = sl.load_bundled_group(name)
     sl.all_subgroups(warm)
     gathered = []
-    gather = permgrp.conjugate_by_all
+    gather = permgrp._conjugate_columns
     monkeypatch.setattr(
-        permgrp, "conjugate_by_all", lambda G, H: gathered.append(G) or gather(G, H)
+        permgrp, "_conjugate_columns", lambda G, e: gathered.append(G) or gather(G, e)
     )
     images = [p.images for p in warm.elements]
     for e1 in elements:
