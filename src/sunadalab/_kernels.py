@@ -88,8 +88,8 @@ def closure(table, gens, cosets=None, limit=None):
     kernel stops and returns an empty array.
     """
     limit = table.shape[0] if limit is None else limit
-    if cosets is None:  # the trivial subgroup's record: each coset is one element
-        cosets = np.arange(table.shape[0]), range(table.shape[0]), [], 1
+    if cosets is None:
+        cosets = right_cosets(table, np.zeros(1, dtype=np.int64), [])
     label, lab, succ, order = cosets
     new = [int(s) for s in gens[len(succ):]]
     reached = bytearray(table.shape[0])
