@@ -108,34 +108,33 @@ def character_table(G):
 
 def _table_from_eigenvectors(G, cc, sizes, vecs):
     k = cc.num_classes
-    rows = []
-    for c in range(k):
-        v = vecs[:, c]
-        if abs(v[0]) < 1e-12:
-            raise EigenDecompositionError(
-                f"eigenvector vanishes on the identity class (class index {c})"
-            )
-        omega = v / v[0]
-        denom = np.sum(np.abs(omega) ** 2 / sizes)
-        deg = np.sqrt(G.order / denom)
-        deg_int = int(round(deg.real if np.iscomplexobj(deg) else deg))
-        if deg_int < 1 or abs(deg - deg_int) > INTEGRALITY_TOL:
-            raise NonIntegralError(f"irreducible degree {deg} is not a positive integer")
-        rows.append((deg_int, deg_int * omega / sizes))
-    if sum(d * d for d, _ in rows) != G.order:
+    vanishing = np.flatnonzero(np.abs(vecs[0]) < 1e-12)
+    if vanishing.size:
+        raise EigenDecompositionError(
+            f"eigenvector vanishes on the identity class (class index {vanishing[0]})"
+        )
+    omega = vecs / vecs[0]  # column c is one irreducible's omega
+    deg = np.sqrt(G.order / np.sum(np.abs(omega) ** 2 / sizes[:, None], axis=0))
+    deg_int = np.round(deg).astype(np.int64)
+    bad = np.flatnonzero((deg_int < 1) | (np.abs(deg - deg_int) > INTEGRALITY_TOL))
+    if bad.size:
+        raise NonIntegralError(f"irreducible degree {deg[bad[0]]} is not a positive integer")
+    if np.sum(deg_int**2) != G.order:
         raise EigenDecompositionError("degree squares do not sum to the group order")
-    rows.sort(key=lambda item: (
-        item[0],
-        tuple((-round(z.real, 10), -round(z.imag, 10)) for z in item[1]),
-    ))
-    table = np.array([vals for _, vals in rows], dtype=np.complex128)
+    values = (deg_int[:, None] * omega.T / sizes).astype(np.complex128)
+    # rows by degree, then by the negated values rounded to 10 decimals,
+    # class by class, real part before imaginary; lexsort's primary key is last
+    keys = -np.round(values, 10)
+    columns = np.stack([keys.real, keys.imag], axis=2).reshape(k, 2 * k).T
+    order = np.lexsort([*columns[::-1], deg_int])
+    table = values[order]
     # character values are algebraic integers; at this scale anything below
     # 1e-10 is eigensolver noise, and snapping it keeps exports stable
     re, im = table.real.copy(), table.imag.copy()
     re[np.abs(re) < 1e-10] = 0.0
     im[np.abs(im) < 1e-10] = 0.0
     table = re + 1j * im
-    degrees = tuple(d for d, _ in rows)
+    degrees = tuple(deg_int[order].tolist())
     gram = (table * (sizes / G.order)[None, :]) @ table.conj().T
     if np.max(np.abs(gram - np.eye(k))) > ORTHOGONALITY_TOL:
         raise EigenDecompositionError(

@@ -31,16 +31,13 @@ from .errors import (
 )
 from .permgrp import (
     DEFAULT_SUBGROUP_BUDGET,
+    MAX_DENSE_ENTRIES,
     cycle_string,
     load_group_file,
     load_subgroup_file,
     parse_cycles,
     subgroup_generate,
 )
-
-# Most entries one dense array may hold (320 MB of float64).  Commands
-# that would allocate more fail with exit 3 before they allocate it.
-MAX_DENSE_ENTRIES = 4e7
 
 
 def round15(x):
@@ -85,16 +82,8 @@ def _emit(report, out_path):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _load_group(args):
-    """Load the group file named in ``args``.  Its |G| x |G| arrays, the
-    multiplication table first, may not pass MAX_DENSE_ENTRIES, so the
-    closure stops with GroupSizeError once it passes isqrt(MAX_DENSE_ENTRIES)
-    elements, before any of them is allocated."""
-    return load_group_file(args.group, max_order=math.isqrt(int(MAX_DENSE_ENTRIES)))
-
-
 def cmd_group_info(args):
-    G = _load_group(args)
+    G = load_group_file(args.group)
     cc = chartab.conjugacy_classes(G)
     ct = chartab.character_table(G)
     table_rows = [
@@ -117,7 +106,7 @@ def cmd_group_info(args):
 
 
 def cmd_gassmann(args):
-    G = _load_group(args)
+    G = load_group_file(args.group)
     if args.search is not None:
         if args.h1 or args.h2:
             raise PreconditionError("--search replaces the subgroup files")
@@ -164,7 +153,7 @@ def _cayley_space(G, gens_text):
 def cmd_sunada(args):
     # the multiplication table, the Cayley weights, the Laplacian and its
     # eigenvectors are each |G| x |G|
-    G = _load_group(args)
+    G = load_group_file(args.group)
     H1 = load_subgroup_file(args.h1, G)
     H2 = load_subgroup_file(args.h2, G)
     K = load_subgroup_file(args.k, G) if args.k else subgroup_generate(G, [])

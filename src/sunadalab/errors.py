@@ -29,7 +29,7 @@ class PreconditionError(SunadaLabError):
 
 
 class GroupSizeError(PreconditionError):
-    """Closure exceeded the configured maximum group order."""
+    """Closure exceeded the maximum group order, ``permgrp.MAX_ORDER``."""
 
 
 class BudgetExceededError(PreconditionError):

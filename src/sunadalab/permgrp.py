@@ -6,11 +6,14 @@ downstream index (conjugacy classes, cosets, subgroups, reports)
 reproducible byte for byte.  The identity is always element 0: any
 non-identity permutation first differs from the identity at some point
 it moves, and must move it upward.  No Schreier-Sims machinery; the
-intended scale is |G| in the hundreds, with a hard configurable cap.
+intended scale is |G| in the hundreds.  Every closure, from the library
+or the command line, stops once it passes ``MAX_ORDER`` elements, before
+any |G| x |G| array is built.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -26,7 +29,11 @@ from .errors import (
     ParseError,
 )
 
-DEFAULT_MAX_ORDER = 20000
+# Most entries one dense array may hold (320 MB of float64).  A group's
+# |G| x |G| arrays, the multiplication table first, may not pass it, so a
+# closure stops once it passes MAX_ORDER elements.
+MAX_DENSE_ENTRIES = 4e7
+MAX_ORDER = math.isqrt(int(MAX_DENSE_ENTRIES))
 DEFAULT_SUBGROUP_BUDGET = 500_000
 
 
@@ -173,7 +180,7 @@ class PermutationGroup:
         self.order = len(images)
         # every row is a product of validated generators
         self.elements = [Permutation._trusted(row) for row in images.tolist()]
-        self._index = {row.tobytes(): i for i, row in enumerate(images)}
+        self._index = dict(zip(_row_keys(images), range(self.order)))
         # element tuple of each subgroup whose class is known -> its least
         # conjugate; classes are entered whole, and the trivial subgroup
         # is a class of its own
@@ -288,14 +295,22 @@ class CosetSpace:
         return len(self.coset_reps)
 
 
-def generate_group(degree, generators, max_order=DEFAULT_MAX_ORDER):
+def _row_keys(rows):
+    """Each row of a C-contiguous int32 matrix as one bytes object, the
+    bytes of ``row.tobytes()``."""
+    return rows.view(np.dtype((np.void, rows.shape[1] * 4))).ravel().tolist()
+
+
+def generate_group(degree, generators):
     """Close a generator list under composition.
 
     The closure runs on int32 image rows.  Each breadth-first round forms
-    every product of a frontier row with each generator in one gather
-    (``frontier[:, gens]`` is x∘g, ``gens[:, frontier]`` is g∘x) and keeps
-    the rows not seen before.  Raises GroupSizeError after the first
-    round that takes the closure past ``max_order``.
+    every product x∘g of a frontier row x with each generator g in one
+    gather, ``frontier[:, gens]``, and keeps the rows not seen before.  In
+    a finite group every element is a positive word in the generators, so
+    right multiplication alone reaches the whole group.  Raises
+    GroupSizeError after the first round that takes the closure past
+    ``MAX_ORDER``, read when the closure is called.
     """
     for g in generators:
         if g.degree != degree:
@@ -304,23 +319,16 @@ def generate_group(degree, generators, max_order=DEFAULT_MAX_ORDER):
         [g.images for g in generators], dtype=np.int32
     ).reshape(len(generators), degree)
     frontier = np.arange(degree, dtype=np.int32)[None, :]
-    seen = {frontier.tobytes()}
+    seen = set(_row_keys(frontier))
     found = [frontier]
-    # each row as one bytes object, the same bytes as ``row.tobytes()``
-    row_bytes = np.dtype((np.void, frontier.nbytes))
     while len(frontier):
-        count = len(frontier) * len(gens)
-        products = np.concatenate([
-            frontier[:, gens].reshape(count, degree),
-            gens[:, frontier].reshape(count, degree),
-        ])
-        keys = products.view(row_bytes).ravel().tolist()
+        products = frontier[:, gens].reshape(len(frontier) * len(gens), degree)
         # one index per new row; a row found twice keeps its last index
-        fresh = {key: i for i, key in enumerate(keys) if key not in seen}
+        fresh = {key: i for i, key in enumerate(_row_keys(products)) if key not in seen}
         seen.update(fresh)
-        if fresh and len(seen) > max_order:
+        if fresh and len(seen) > MAX_ORDER:
             raise GroupSizeError(
-                f"closure exceeds max order {max_order} "
+                f"closure exceeds max order {MAX_ORDER} "
                 f"(degree {degree}, {len(gens)} generators)"
             )
         frontier = products[list(fresh.values())]
@@ -598,7 +606,7 @@ def parse_permutation_lines(lines, degree, path=None):
         yield lineno, perm
 
 
-def parse_group_text(text, max_order=DEFAULT_MAX_ORDER, path=None):
+def parse_group_text(text, path=None):
     """Group file: ``degree n`` then one generator per line in cycle notation."""
     lines = list(content_lines(text))
     if not lines:
@@ -611,12 +619,12 @@ def parse_group_text(text, max_order=DEFAULT_MAX_ORDER, path=None):
     if degree < 1:
         raise ParseError("degree must be positive", line=lineno, path=path)
     gens = [perm for _, perm in parse_permutation_lines(lines[1:], degree, path)]
-    return generate_group(degree, gens, max_order=max_order)
+    return generate_group(degree, gens)
 
 
-def load_group_file(path, max_order=DEFAULT_MAX_ORDER):
+def load_group_file(path):
     with open(path, encoding="utf-8") as fh:
-        return parse_group_text(fh.read(), max_order=max_order, path=path)
+        return parse_group_text(fh.read(), path=path)
 
 
 def parse_subgroup_text(text, G, path=None):
@@ -646,5 +654,5 @@ def bundled_group_path(name):
     return str(res)
 
 
-def load_bundled_group(name, max_order=DEFAULT_MAX_ORDER):
-    return load_group_file(bundled_group_path(name + ".group"), max_order=max_order)
+def load_bundled_group(name):
+    return load_group_file(bundled_group_path(name + ".group"))

@@ -122,12 +122,15 @@ def gspace(G, graph, vertex_perms):
     """Validate and bundle an action given as one vertex permutation per
     group element.
 
-    The homomorphism property and weight preservation are checked on the
-    group's generators.  If rho(s g) = rho(s) rho(g) for every generator s
-    and every g, and the identity acts trivially, then rho is a
-    homomorphism by induction on the word length of the left factor; every
-    rho(g) is then a product of generator permutations, so it preserves
-    the weights when the generators do.  A generator p preserves them iff
+    The permutation property, the homomorphism property and weight
+    preservation are checked on the group's generators.  If
+    rho(s g) = rho(s) rho(g) for every generator s and every g, and the
+    identity acts trivially, then rho is a homomorphism by induction on the
+    word length of the left factor; every rho(g) is then a product of
+    generator permutations, so it is a permutation when the generator rows
+    are, and it preserves the weights when the generators do.  Every entry
+    is range-checked before the cast to int32, which could wrap a bad row
+    into a permutation.  A generator p preserves the weights iff
     it carries each positive-weight pair (u, v) to a pair (pu, pv) of the
     same weight: (u, v) -> (pu, pv) is a bijection of the ordered pairs,
     so if it maps the positive pairs into themselves it maps them onto
@@ -144,19 +147,22 @@ def gspace(G, graph, vertex_perms):
             f"action table has shape {perms.shape}, expected {(G.order, graph.n)}"
         )
     ident = np.arange(graph.n)
-    # checked before the cast to int32, which could wrap a bad row into a permutation
-    not_perm = np.flatnonzero((np.sort(perms, axis=1) != ident).any(axis=1))
-    if not_perm.size:
-        raise PreconditionError(f"row {not_perm[0]} of the action is not a permutation")
+    out_of_range = np.flatnonzero(((perms < 0) | (perms >= graph.n)).any(axis=1))
+    if out_of_range.size:
+        raise PreconditionError(f"row {out_of_range[0]} of the action is not a permutation")
     perms = perms.astype(np.int32, copy=perms.flags.writeable or perms.base is not None)
     perms.flags.writeable = False
+    gens = _generator_rows(G)
+    not_perm = [s for s in gens if not np.array_equal(np.sort(perms[s]), ident)]
+    if not_perm:
+        raise PreconditionError(f"row {not_perm[0]} of the action is not a permutation")
     if not np.array_equal(perms[0], ident):
         raise PreconditionError("identity element must act as the identity")
     table = G.table
     w = graph.weights
     us, vs = np.divmod(np.flatnonzero(w > 0), graph.n)  # the edges, as ordered pairs
     edge_weights = w[us, vs]
-    for s in _generator_rows(G):
+    for s in gens:
         p = perms[s]
         if not np.array_equal(perms[table[s]], p[perms]):
             raise PreconditionError(
@@ -380,17 +386,6 @@ def _orbit_labels(space, H):
     return label, np.bincount(label, minlength=space.n)[label]
 
 
-def _orbit_basis(space, H):
-    """Normalized indicators of the H-orbits on the vertices, as the
-    columns of an n x k matrix, listed by minimal vertex: an orthonormal
-    basis of the H-invariant functions."""
-    label, size = _orbit_labels(space, H)
-    reps, orbit = orbit_numbering(label)
-    basis = np.zeros((space.n, len(reps)))
-    basis[np.arange(space.n), orbit] = 1.0 / np.sqrt(size)
-    return basis
-
-
 def vertex_orbits(space, H=None):
     """Orbits of H (default: the whole group) on the vertex set, each a
     sorted tuple, listed by minimal vertex."""
@@ -579,7 +574,7 @@ def sunada_identity_check(space, H, K=None, cluster_tol=None):
     otherwise the comparison is not meaningful and a precondition error
     names the first offending irreducible.
     """
-    _orbit_labels(space, H)  # H must act through the space's group
+    label, size = _orbit_labels(space, H)  # H must act through the space's group
     G = space.group
     if K is None:
         K = subgroup_generate(G, [])
@@ -595,10 +590,14 @@ def sunada_identity_check(space, H, K=None, cluster_tol=None):
         )
     ind = np.asarray(induced_multiplicities(G, H))
     decomp, starts, _ = _eigenspaces(space, cluster_tol)
-    # dim of the H-invariant part of E_c = trace(P_H P_c), the sum of
-    # |B^T v|^2 over the eigenvectors v of the cluster
-    coords = _orbit_basis(space, H).T @ space.laplacian_eigh[1]
-    raw = np.add.reduceat(np.sum(coords**2, axis=0), starts)
+    # dim of the H-invariant part of E_c = trace(P_H P_c), the sum over the
+    # eigenvectors v of the cluster and the H-orbits O of (sum_O v)^2 / |O|:
+    # the normalized orbit indicators are an orthonormal basis of the
+    # H-invariant functions
+    order = np.argsort(label, kind="stable")
+    firsts = np.flatnonzero(np.diff(label[order], prepend=-1))
+    sums = np.add.reduceat(space.laplacian_eigh[1][order], firsts)
+    raw = np.add.reduceat(np.sum(sums**2 / size[order[firsts], None], axis=0), starts)
     lhs = np.round(raw).astype(np.int64)
     bad = np.flatnonzero(np.abs(raw - lhs) > INTEGRALITY_TOL)
     if bad.size:

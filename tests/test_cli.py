@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sunadalab import _kernels, chartab, cli, heatkit
+from sunadalab import _kernels, chartab, cli, heatkit, permgrp
 from sunadalab.cli import main, round15
 from sunadalab.errors import NumericalError
 from sunadalab.permgrp import bundled_group_path
@@ -167,13 +167,13 @@ def test_sunada_memory_preflight(tmp_path, capsys, monkeypatch, command):
     monkeypatch.setattr(
         _kernels, "mul_table", lambda *args: tables.append(args) or build(*args)
     )
-    monkeypatch.setattr(cli, "MAX_DENSE_ENTRIES", 24**2 - 1)
+    monkeypatch.setattr(permgrp, "MAX_ORDER", 23)
     code, report = run_cli(argv, capsys)
     assert code == 3
     assert report["error"]["type"] == "GroupSizeError"
     assert "max order 23" in report["error"]["message"]
     assert tables == []  # refused before the |G|^2 table
-    monkeypatch.setattr(cli, "MAX_DENSE_ENTRIES", 24**2)
+    monkeypatch.setattr(permgrp, "MAX_ORDER", 24)
     code, report = run_cli(argv, capsys)
     assert code == 0
     assert len(tables) == 1

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 import sunadalab as sl
-from sunadalab import permgrp
+from sunadalab import _kernels, permgrp
 from sunadalab.errors import (
     BudgetExceededError,
     GroupSizeError,
@@ -88,11 +89,32 @@ def test_affine_two_generator_closure_is_16():
     assert generate_group(8, [add1, mul3, mul5]).order == 32
 
 
-def test_max_order_enforced():
+def test_max_order_enforced(monkeypatch):
     add1 = sl.parse_cycles("(0 1 2 3 4 5 6 7)", 8)
     mul3 = sl.parse_cycles("(1 3)(2 6)(5 7)", 8)
+    monkeypatch.setattr(permgrp, "MAX_ORDER", 10)
     with pytest.raises(GroupSizeError):
-        generate_group(8, [add1, mul3], max_order=10)
+        generate_group(8, [add1, mul3])
+
+
+def test_max_order_is_the_dense_cap():
+    # the |G| x |G| table of a group at the cap fits in MAX_DENSE_ENTRIES
+    assert permgrp.MAX_ORDER == math.isqrt(int(permgrp.MAX_DENSE_ENTRIES)) == 6324
+
+
+def test_library_closure_stops_at_the_cap(monkeypatch):
+    # S7 x C2 has order 10080: every library caller, not only the command
+    # line, is refused before the |G| x |G| table is built
+    tables = []
+    build = _kernels.mul_table
+    monkeypatch.setattr(
+        _kernels, "mul_table", lambda *args: tables.append(args) or build(*args)
+    )
+    gens = [parse_cycles(c, 9) for c in ("(0 1 2 3 4 5 6)", "(0 1)", "(7 8)")]
+    with pytest.raises(GroupSizeError) as info:
+        generate_group(9, gens)
+    assert str(info.value) == "closure exceeds max order 6324 (degree 9, 3 generators)"
+    assert tables == []
 
 
 def _oracle_group(degree, gens):
@@ -123,11 +145,13 @@ def test_bundled_closure_matches_oracle(name):
 
 
 @pytest.mark.parametrize("name", ["s4", "aff8", "psl211"])
-def test_max_order_is_exact(name):
+def test_max_order_is_exact(name, monkeypatch):
     G = sl.load_bundled_group(name)
-    assert generate_group(G.degree, G.generators, max_order=G.order).order == G.order
+    monkeypatch.setattr(permgrp, "MAX_ORDER", G.order)
+    assert generate_group(G.degree, G.generators).order == G.order
+    monkeypatch.setattr(permgrp, "MAX_ORDER", G.order - 1)
     with pytest.raises(GroupSizeError) as info:
-        generate_group(G.degree, G.generators, max_order=G.order - 1)
+        generate_group(G.degree, G.generators)
     assert str(info.value) == (
         f"closure exceeds max order {G.order - 1} "
         f"(degree {G.degree}, {len(G.generators)} generators)"

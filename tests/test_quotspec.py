@@ -248,6 +248,22 @@ def test_gspace_rejects_each_corrupted_row(groups, name):
                 qs.gspace(G, space.graph, bad)
 
 
+def test_gspace_sort_checks_only_generator_rows(aff8):
+    # only the generator rows are sorted; a non-generator row that is in
+    # range but repeats a vertex fails the homomorphism check instead
+    space = qs.cayley_graph(aff8)
+    gens = qs._generator_rows(aff8)
+    g = next(x for x in range(1, aff8.order) if x not in gens)
+    bad = space.vertex_perms.copy()
+    bad[g] = bad[g, 0]
+    with pytest.raises(PreconditionError, match="not a homomorphism"):
+        qs.gspace(aff8, space.graph, bad)
+    bad = space.vertex_perms.copy()
+    bad[gens[0]] = bad[gens[0], 0]
+    with pytest.raises(PreconditionError, match=f"row {gens[0]} of the action is not a permutation"):
+        qs.gspace(aff8, space.graph, bad)
+
+
 def test_gspace_validates_weight_preservation(z6):
     w = _cycle_weights(6)
     w[0, 1] = w[1, 0] = 2.0  # break the symmetry of the cycle
