@@ -51,7 +51,7 @@ PERTURB_RANGE = (0.5, 1.5)
 
 @dataclass(frozen=True, eq=False)
 class WeightedGraph:
-    """Symmetric non-negative weight matrix with zero diagonal."""
+    """Symmetric non-negative weight matrix with zero diagonal, kept read-only."""
 
     n: int
     weights: np.ndarray
@@ -64,7 +64,7 @@ class WeightedGraph:
 
 
 def weighted_graph(weights):
-    w = np.array(weights, dtype=np.float64)
+    w = _read_only(np.asarray(weights), np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise PreconditionError(f"weight matrix must be square, got {w.shape}")
     if not np.all(np.isfinite(w)):
@@ -76,6 +76,14 @@ def weighted_graph(weights):
     if np.any(np.diagonal(w) != 0):
         raise PreconditionError("diagonal weights (self-loops) are not allowed")
     return WeightedGraph(n=w.shape[0], weights=w)
+
+
+def _read_only(array, dtype):
+    """``array`` as a read-only ``dtype`` array: a copy, unless the caller hands
+    over a read-only ``dtype`` array that owns its data and leaves it so."""
+    kept = array.astype(dtype, copy=array.flags.writeable or array.base is not None)
+    kept.flags.writeable = False
+    return kept
 
 
 def laplacian(graph):
@@ -128,16 +136,18 @@ def gspace(G, graph, vertex_perms):
     identity acts trivially, then rho is a homomorphism by induction on the
     word length of the left factor; every rho(g) is then a product of
     generator permutations, so it is a permutation when the generator rows
-    are, and it preserves the weights when the generators do.  Every entry
-    is range-checked before the cast to int32, which could wrap a bad row
-    into a permutation.  A generator p preserves the weights iff
+    are, and it preserves the weights when the generators do.  The
+    generator rows' sort check, implied by the rest (rho(s)^m = rho(e) for
+    s of order m), names a row that is not a permutation, which the
+    homomorphism check would report only as not a homomorphism.  Every
+    entry is range-checked before the cast to int32, which could wrap a
+    bad row into a permutation.  A generator p preserves the weights iff
     it carries each positive-weight pair (u, v) to a pair (pu, pv) of the
     same weight: (u, v) -> (pu, pv) is a bijection of the ordered pairs,
     so if it maps the positive pairs into themselves it maps them onto
     themselves, and the zero pairs onto the zero pairs.  Only the edge
     list is gathered, not the n x n matrix.  The space keeps a read-only
-    int32 action: a copy, unless the caller passes a read-only array that
-    owns its data, which it must then not make writable again.
+    int32 action, as ``_read_only`` hands it over.
     """
     perms = np.asarray(vertex_perms)
     if perms.dtype.kind not in "iu":
@@ -150,8 +160,7 @@ def gspace(G, graph, vertex_perms):
     out_of_range = np.flatnonzero(((perms < 0) | (perms >= graph.n)).any(axis=1))
     if out_of_range.size:
         raise PreconditionError(f"row {out_of_range[0]} of the action is not a permutation")
-    perms = perms.astype(np.int32, copy=perms.flags.writeable or perms.base is not None)
-    perms.flags.writeable = False
+    perms = _read_only(perms, np.int32)
     gens = _generator_rows(G)
     not_perm = [s for s in gens if not np.array_equal(np.sort(perms[s]), ident)]
     if not_perm:
@@ -165,13 +174,9 @@ def gspace(G, graph, vertex_perms):
     for s in gens:
         p = perms[s]
         if not np.array_equal(perms[table[s]], p[perms]):
-            raise PreconditionError(
-                f"action is not a homomorphism at generator {s}"
-            )
+            raise PreconditionError(f"action is not a homomorphism at generator {s}")
         if not np.array_equal(w[p[us], p[vs]], edge_weights):
-            raise PreconditionError(
-                f"element {s} does not preserve the edge weights"
-            )
+            raise PreconditionError(f"element {s} does not preserve the edge weights")
     return GSpace(group=G, graph=graph, vertex_perms=perms)
 
 
@@ -216,16 +221,16 @@ def cayley_graph(G, gen_indices=None, weights=None):
         # right multiplication by s; left translation then acts by isometries
         targets = G.table[:, s]
         w[np.arange(n), targets] = weights[s]
-    graph = weighted_graph(w)
-    del w  # weighted_graph keeps its own copy
-    return gspace(G, graph, G.table)
+    w.flags.writeable = False  # handed over to the graph, not copied
+    return gspace(G, weighted_graph(w), G.table)
 
 
 def coset_gspace(G, subgroups, weight_seed=0):
     """Disjoint union of coset spaces G/H_i with a random invariant graph.
 
-    Weights are constant on orbits of vertex pairs, so invariance is
-    exact by construction.
+    Each orbit of vertex pairs (``_pair_orbits`` of the whole action)
+    keeps one random weight with probability ``WEIGHT_KEEP_PROB``, so
+    invariance is exact by construction.
     """
     spaces = [coset_space(G, H) for H in subgroups]
     n = sum(cs.num_cosets for cs in spaces)
@@ -234,65 +239,58 @@ def coset_gspace(G, subgroups, weight_seed=0):
     for cs in spaces:
         perms[:, offset : offset + cs.num_cosets] = cs.action + offset
         offset += cs.num_cosets
-    orbit = _pair_orbits(perms[_generator_rows(G)], n)
+    orbit = _pair_orbits(perms, n)
     rng = np.random.default_rng(weight_seed)
     values = rng.uniform(0.25, 1.0, size=orbit.max(initial=-1) + 1)
     values[rng.uniform(size=values.shape) > WEIGHT_KEEP_PROB] = 0.0
-    w = np.zeros((n, n))
-    mask = orbit >= 0
-    w[mask] = values[orbit[mask]]
-    perms.flags.writeable = False  # handed over to the space, not copied
+    w = np.append(values, 0.0)[orbit]  # the diagonal, orbit -1, takes the 0
+    w.flags.writeable = perms.flags.writeable = False  # handed over, not copied
     return gspace(G, weighted_graph(w), perms)
 
 
 def _pair_orbits(perms, n):
-    """Orbit index of each off-diagonal vertex pair under the group that
-    the rows of ``perms`` generate and the swap (u, v) -> (v, u); the
+    """Orbit index of each off-diagonal vertex pair under the group whose
+    elements are the rows of ``perms`` and the swap (u, v) -> (v, u); the
     diagonal is marked -1.
 
-    Each pair starts with its own code u*n + v.  A round pulls into every
-    pair the code of its image under the swap and under each row, then
-    replaces each code by the code of the pair it names (pointer
-    jumping).  Codes only fall, and each names a pair of its own orbit.
-    Once a round changes nothing, each code is at most the code of every
-    image; in a finite group the inverse of a generator is one of its
-    powers, so the images reach the whole orbit and the code is constant
-    on it.  The orbit's least pair holds a code of its own orbit that is
-    at most its own, so the constant is the least code.  So the
-    generator rows suffice, where a sweep over every element costs |G|
-    n x n passes, and a round holds about three n x n arrays whatever
-    the number of rows.  Orbits are numbered by that least code, which
-    is the order in which a row-major scan of the pairs first reaches
-    them.
+    Orbits are numbered by their least code u*n + v, the order in which a
+    row-major scan of the pairs first reaches them.  The G-orbit of
+    (u, v) has least first vertex r, the least vertex of u's orbit; the
+    elements carrying u to r are h t for one such t and h in Stab(r), so
+    its least second vertex is the least image of t(v) under Stab(r).
+    The swap joins the G-orbits of (u, v) and (v, u).
     """
-    rows = np.asarray(perms, dtype=np.intp)
-    code = np.arange(n * n).reshape(n, n)
-    while True:
-        pulled = np.minimum(code, code.T)
-        for p in rows:
-            np.minimum(pulled, pulled[np.ix_(p, p)], out=pulled)
-        pulled = pulled.ravel()[pulled]
-        if np.array_equal(pulled, code):
-            break
-        code = pulled
+    label = perms.min(axis=0)
+    reps, orbit_of = orbit_numbering(label)
+    least = np.array([perms[s].min(axis=0) for s in _stabilizers(perms, reps)], dtype=np.intp)
+    # row u of perms[perms.argmin(axis=0)] carries u to its orbit's least vertex
+    code = least.reshape(len(reps), n)[orbit_of[:, None], perms[perms.argmin(axis=0)]]
+    del least  # n x n when every vertex is its own orbit
+    code += label[:, None] * n
+    code = np.minimum(code, code.T)
     np.fill_diagonal(code, n * n)  # no off-diagonal pair has this label
     orbit = orbit_numbering(code.ravel())[1].reshape(n, n)
     np.fill_diagonal(orbit, -1)
     return orbit
 
 
+def _stabilizers(perms, vertices):
+    """The element indices (rows of ``perms``) that fix each vertex."""
+    return [np.flatnonzero(perms[:, v] == v) for v in vertices]
+
+
 def perturb_invariant_weights(space, seed=0):
-    """Rescale each orbit of edge weights by an independent random factor.
+    """Rescale each orbit of vertex pairs (``_pair_orbits`` of the space's
+    action) by an independent random factor.
 
     Returns a new G-space on the same action; invariance stays exact, so
     any isospectrality that came from the group structure survives.
     """
-    orbit = _pair_orbits(space.vertex_perms[_generator_rows(space.group)], space.n)
+    orbit = _pair_orbits(space.vertex_perms, space.n)
     rng = np.random.default_rng(seed)
     factors = rng.uniform(*PERTURB_RANGE, size=orbit.max(initial=-1) + 1)
-    w = space.graph.weights.copy()
-    mask = orbit >= 0
-    w[mask] = w[mask] * factors[orbit[mask]]
+    w = space.graph.weights * np.append(factors, 0.0)[orbit]  # the diagonal stays 0
+    w.flags.writeable = False  # handed over to the graph, not copied
     return gspace(space.group, weighted_graph(w), space.vertex_perms)
 
 
@@ -427,7 +425,9 @@ def quotient_graph(space, H=None):
     k = space.n // h
     q = space.graph.weights[np.ix_(order[::h], order)].reshape(k, k, h).sum(axis=2)
     np.fill_diagonal(q, 0.0)
-    return weighted_graph((q + q.T) / 2.0)
+    q = (q + q.T) / 2.0
+    q.flags.writeable = False  # handed over to the graph, not copied
+    return weighted_graph(q)
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +644,7 @@ def donnelly_support(space, cluster_tol=None):
     label, _ = _orbit_labels(space, None)
     reps = orbit_numbering(label)[0].tolist()
     stab_orders, row_sets = [], []
-    for v in reps:
-        stab = np.flatnonzero(space.vertex_perms[:, v] == v)
+    for stab in _stabilizers(space.vertex_perms, reps):
         K = Subgroup(parent=space.group, elements=tuple(stab.tolist()))
         stab_orders.append(K.order)
         row_sets.append(frozenset(irreps_with_fixed_vectors(space.group, K)))

@@ -178,6 +178,26 @@ def test_gspace_copies_a_writable_action(z4):
     assert not np.shares_memory(qs.gspace(z4, graph, view).vertex_perms, view)
 
 
+def test_graph_weights_are_read_only(s4):
+    w = _cycle_weights(6)
+    graph = qs.weighted_graph(w)
+    w[0, 1] = w[1, 0] = 7.0  # the caller may change its array, not the checked graph
+    assert graph.weights[0, 1] == 1.0
+    w.flags.writeable = False  # a read-only array that owns its data is handed over
+    assert qs.weighted_graph(w).weights is w
+    space = qs.cayley_graph(s4)
+    subs = sl.all_subgroups(s4)
+    graphs = [
+        space.graph,
+        qs.coset_gspace(s4, [subs[0], subs[len(subs) // 2]]).graph,
+        qs.perturb_invariant_weights(space).graph,
+        qs.quotient_graph(space, subs[len(subs) // 2]),
+    ]
+    for g in graphs:
+        with pytest.raises(ValueError):
+            g.weights[0, 1] = 7.0
+
+
 def test_cayley_action_is_the_read_only_group_table(s4):
     space = qs.cayley_graph(s4)
     assert space.vertex_perms.dtype == np.int32
@@ -414,7 +434,18 @@ def _psl32():
 
 
 def test_pair_orbits_match_search_oracle(groups):
-    spaces = [qs.cayley_graph(_psl32())]
+    s3 = groups["s3"]
+    A3, T = (
+        sl.subgroup_generate(s3, [s3.index_of(sl.parse_cycles(c, 3))]) for c in ("(0 1 2)", "(0 1)")
+    )
+    trivial = sl.generate_group(4, [])
+    spaces = [
+        qs.cayley_graph(_psl32()),
+        # the trivial group fixes every vertex: each pair is its own orbit
+        qs.gspace(trivial, qs.weighted_graph(np.zeros((4, 4))), np.arange(4)[None, :]),
+        # three orbits, no free one: S3 on the cosets of A3, T and S3
+        qs.coset_gspace(s3, [A3, T, sl.subgroup_from_indices(s3, range(6))]),
+    ]
     for name in ("s4", "aff8"):
         G = groups[name]
         subs = sl.all_subgroups(G)
@@ -423,9 +454,24 @@ def test_pair_orbits_match_search_oracle(groups):
     for space in spaces:
         want = oracles.pair_orbits(space.vertex_perms, space.n)
         assert qs._pair_orbits(space.vertex_perms, space.n).tolist() == want
-        # the generator rows alone give the same orbits, numbered alike
-        rows = space.vertex_perms[qs._generator_rows(space.group)]
-        assert qs._pair_orbits(rows, space.n).tolist() == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.permutations(list(range(n))), max_size=3))
+    ),
+    st.data(),
+)
+def test_pair_orbits_match_search_oracle_on_random_groups(degree_gens, data):
+    degree, gens = degree_gens
+    G = sl.generate_group(degree, [sl.Permutation(g) for g in gens])
+    subgroups = data.draw(st.lists(st.sampled_from(sl.all_subgroups(G)), min_size=1, max_size=3))
+    space = qs.coset_gspace(G, subgroups)
+    # the oracle's search closes the generator rows under composition
+    rows = space.vertex_perms[qs._generator_rows(G)]
+    want = oracles.pair_orbits(rows, space.n)
+    assert qs._pair_orbits(space.vertex_perms, space.n).tolist() == want
 
 
 def test_seeded_weights_match_the_all_rows_numbering(monkeypatch, groups):
@@ -544,6 +590,8 @@ def test_empty_gspace(z4):
     # every weight and quotient routine returns an empty result as well
     whole = sl.subgroup_from_indices(z4, range(4))
     assert qs.perturb_invariant_weights(space, seed=1).graph.weights.shape == (0, 0)
+    assert qs._pair_orbits(space.vertex_perms, 0).tolist() == []
+    assert oracles.pair_orbits(space.vertex_perms, 0) == []
     assert qs.quotient_graph(space, whole).weights.shape == (0, 0)
     assert qs.quotient_graph(space).n == 0
     assert qs.invariant_spectrum(space, whole).dim == 0
