@@ -276,8 +276,12 @@ def cmd_heat(args):
             )
         d1, d2 = args.audit
         (_, o1), (_, o2), (_, m1), (_, m2) = inputs
+        # the quotients' indicators, fitted above on the --t-* grid, or None
         audit = heatkit.singularity_audibility_report(
-            o1, o2, m1, m2, d1, d2, tol=args.tol
+            o1, o2, m1, m2, d1, d2,
+            indicator_1=entries[0].get("indicator"),
+            indicator_2=entries[1].get("indicator"),
+            tol=args.tol,
         )
         report["audibility"] = audit
     return report

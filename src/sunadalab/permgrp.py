@@ -310,8 +310,10 @@ def generate_group(degree, generators):
     a finite group every element is a positive word in the generators, so
     right multiplication alone reaches the whole group.  Raises
     GroupSizeError after the first round that takes the closure past
-    ``MAX_ORDER``, read when the closure is called.
+    ``MAX_ORDER``, read when the closure is called, and before any row
+    is built when the degree passes it (``_check_degree``).
     """
+    _check_degree(degree)
     for g in generators:
         if g.degree != degree:
             raise ValueError(f"generator {g} has degree {g.degree}, expected {degree}")
@@ -338,6 +340,14 @@ def generate_group(degree, generators):
     order = np.lexsort(rows.T[::-1]) if degree else [0]
     images = np.ascontiguousarray(rows[order])
     return PermutationGroup(degree, generators, images)
+
+
+def _check_degree(degree):
+    """Refuse a degree above ``MAX_ORDER``: the closure's image matrix is
+    |G| x degree, so with both factors at most ``MAX_ORDER`` it stays,
+    like the |G| x |G| table, within ``MAX_DENSE_ENTRIES``."""
+    if degree > MAX_ORDER:
+        raise GroupSizeError(f"degree {degree} exceeds max order {MAX_ORDER}")
 
 
 def class_intersection_counts(G, H):
@@ -445,7 +455,7 @@ def _record_class(G, elements):
     member = np.zeros(G.order, dtype=bool)
     member[list(elements)] = True
     normalizer = np.flatnonzero(member[orbit].all(axis=0))
-    coset_reps = np.flatnonzero(G.table[:, normalizer].min(axis=1) == np.arange(G.order))
+    coset_reps = orbit_numbering(G.table[:, normalizer].min(axis=1))[0]
     conjugates = set(map(tuple, np.sort(orbit[:, coset_reps], axis=0).T.tolist()))
     label = min(conjugates)
     G._class_label.update(dict.fromkeys(conjugates, label))
@@ -503,9 +513,11 @@ def _enumerate_subgroups(G, record, grow, budget, limit):
     Neither predicate may pass an order above ``limit``: the closure of
     <H, g> stops once it outgrows the limit.  The budget counts closure
     computations, one per orbit of right cosets tried.  The stack keeps
-    each representative's generators, the g's along its path, for the
-    coset extension, and its normalizer; its right cosets are labelled
-    once, when it is popped, and every closure from it reads that record.
+    each representative's generators, the g's along its path, and its
+    normalizer; its right cosets are labelled once, when it is popped, and
+    every closure from it reads that record.  Only labels are tried, in
+    ascending order, with ``covered`` indexed by label: covered elements
+    make whole cosets, so a coset's first uncovered element is its label.
     Every class computed is entered in ``G._class_label``; the drop test
     reads this call's own ``known`` set, since a class known from an
     earlier call has no representative on this call's stack.
@@ -518,16 +530,14 @@ def _enumerate_subgroups(G, record, grow, budget, limit):
     closures = 0
     while stack:
         elements, gens, normalizer = stack.pop()
-        current = np.asarray(elements, dtype=np.int64)
-        covered = np.zeros(G.order, dtype=bool)
-        covered[current] = True
         normalizer_inv = G.inverses[normalizer]
-        cosets = _kernels.right_cosets(table, current, gens)
-        for g in range(1, G.order):
+        cosets = _kernels.right_cosets(table, np.asarray(elements, dtype=np.int64), gens)
+        label = cosets[0]
+        covered = np.zeros(G.order, dtype=bool)
+        for g in orbit_numbering(label)[0][1:].tolist():  # label 0 is H itself
             if covered[g]:
                 continue
-            conjugates_of_g = table[normalizer, table[g, normalizer_inv]]
-            covered[table[current[:, None], conjugates_of_g]] = True
+            covered[label[table[normalizer, table[g, normalizer_inv]]]] = True
             closures += 1
             if closures > budget:
                 raise BudgetExceededError(
@@ -618,6 +628,7 @@ def parse_group_text(text, path=None):
     degree = int(m.group(1))
     if degree < 1:
         raise ParseError("degree must be positive", line=lineno, path=path)
+    _check_degree(degree)
     gens = [perm for _, perm in parse_permutation_lines(lines[1:], degree, path)]
     return generate_group(degree, gens)
 

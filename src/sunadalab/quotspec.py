@@ -353,8 +353,8 @@ def averaging_projector(space, H):
     """Matrix of the averaging operator over H on functions of the
     vertices; its range is the H-invariant subspace.  Entry (u, v) is
     |{h : h v = u}| / |H| = 1 / |orbit(v)| if u is in the orbit of v."""
-    label, size = _orbit_labels(space, H)
-    return np.where(label[:, None] == label[None, :], 1.0 / size, 0.0)
+    label = _orbits(space, H)[0]
+    return np.where(label[:, None] == label[None, :], 1.0 / np.bincount(label)[label], 0.0)
 
 
 def invariant_spectrum(space, H=None, cluster_tol=None):
@@ -373,31 +373,35 @@ def invariant_spectrum(space, H=None, cluster_tol=None):
     return cluster_eigenvalues(values, cluster_tol)
 
 
-def _orbit_labels(space, H):
-    """Each vertex's H-orbit label, the least vertex of its orbit, and the
-    size of that orbit.  H=None stands for the whole group."""
+def _orbits(space, H):
+    """The H-orbits of the vertices (H=None: the whole group): ``label``, the
+    least vertex in each vertex's orbit; ``order``, the vertices sorted stably
+    by label, one run per orbit led by its label; ``starts``, where runs begin."""
     if H is not None and H.parent is not space.group:
         raise PreconditionError("subgroup acts through a different group object")
     rows = space.vertex_perms if H is None else space.vertex_perms[H.indices()]
     # rows lists every element of H, so column v holds the whole orbit of v
     label = rows.min(axis=0)
-    return label, np.bincount(label, minlength=space.n)[label]
+    order = np.argsort(label, kind="stable")
+    return label, order, np.flatnonzero(label[order] == order)
 
 
 def vertex_orbits(space, H=None):
     """Orbits of H (default: the whole group) on the vertex set, each a
     sorted tuple, listed by minimal vertex."""
-    label, _ = _orbit_labels(space, H)
-    order = np.argsort(label, kind="stable")
-    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
-    return [tuple(chunk.tolist()) for chunk in np.split(order, starts)[1:]]
+    _, order, starts = _orbits(space, H)
+    return [tuple(run.tolist()) for run in np.split(order, starts)[1:]]
+
+
+def _free(space, H, starts):
+    """True iff k |H| = n for the k orbits in ``starts``: none has more than |H|."""
+    return len(starts) * (space.group.order if H is None else H.order) == space.n
 
 
 def is_free(space, H=None):
     """True iff no non-identity element of H fixes a vertex: by
     orbit-stabilizer, iff every orbit has |H| vertices."""
-    _, size = _orbit_labels(space, H)
-    return bool(np.all(size == (space.group.order if H is None else H.order)))
+    return _free(space, H, _orbits(space, H)[2])
 
 
 def quotient_graph(space, H=None):
@@ -407,23 +411,19 @@ def quotient_graph(space, H=None):
     diagonal.  Non-free actions have no graph quotient with the right
     spectrum; use invariant_spectrum for those.
 
-    Orbit a's representative is its least vertex, so the weights are one
-    row gather W[reps] summed over the columns sorted by orbit, with no
-    orbit basis and no n x n product: the orbits of a free action all
-    have |H| vertices, so those columns fall into equal blocks, one per
-    orbit and each led by its least vertex.  Both orders of a pair of
-    orbits add the same weights in another order, so the result is
-    symmetrized against rounding.
+    Orbit a's representative is its least vertex, the head of its run in
+    ``_orbits``, so the weights are one row gather and one ``np.add.reduceat``
+    over the orbit-sorted columns, with no orbit basis and no n x n product.
+    Both orders of a pair of orbits add the same weights in another order,
+    so the result is symmetrized against rounding.
     """
-    if not is_free(space, H):
+    _, order, starts = _orbits(space, H)
+    if not _free(space, H, starts):
         raise NonFreeActionError(
             "the action has a fixed vertex; the quotient is not a graph, "
             "use invariant_spectrum instead"
         )
-    h = space.group.order if H is None else H.order
-    order = np.argsort(_orbit_labels(space, H)[0], kind="stable")
-    k = space.n // h
-    q = space.graph.weights[np.ix_(order[::h], order)].reshape(k, k, h).sum(axis=2)
+    q = np.add.reduceat(space.graph.weights[order[starts]][:, order], starts, axis=1)
     np.fill_diagonal(q, 0.0)
     q = (q + q.T) / 2.0
     q.flags.writeable = False  # handed over to the graph, not copied
@@ -574,7 +574,7 @@ def sunada_identity_check(space, H, K=None, cluster_tol=None):
     otherwise the comparison is not meaningful and a precondition error
     names the first offending irreducible.
     """
-    label, size = _orbit_labels(space, H)  # H must act through the space's group
+    _, order, firsts = _orbits(space, H)  # H must act through the space's group
     G = space.group
     if K is None:
         K = subgroup_generate(G, [])
@@ -594,10 +594,9 @@ def sunada_identity_check(space, H, K=None, cluster_tol=None):
     # eigenvectors v of the cluster and the H-orbits O of (sum_O v)^2 / |O|:
     # the normalized orbit indicators are an orthonormal basis of the
     # H-invariant functions
-    order = np.argsort(label, kind="stable")
-    firsts = np.flatnonzero(np.diff(label[order], prepend=-1))
     sums = np.add.reduceat(space.laplacian_eigh[1][order], firsts)
-    raw = np.add.reduceat(np.sum(sums**2 / size[order[firsts], None], axis=0), starts)
+    sizes = np.diff(firsts, append=space.n)[:, None]
+    raw = np.add.reduceat(np.sum(sums**2 / sizes, axis=0), starts)
     lhs = np.round(raw).astype(np.int64)
     bad = np.flatnonzero(np.abs(raw - lhs) > INTEGRALITY_TOL)
     if bad.size:
@@ -641,8 +640,8 @@ class DonnellyReport:
 def donnelly_support(space, cluster_tol=None):
     table = isotypic_multiplicities(space, cluster_tol=cluster_tol)
     observed = table.supported_rows()
-    label, _ = _orbit_labels(space, None)
-    reps = orbit_numbering(label)[0].tolist()
+    _, order, starts = _orbits(space, None)
+    reps = order[starts].tolist()
     stab_orders, row_sets = [], []
     for stab in _stabilizers(space.vertex_perms, reps):
         K = Subgroup(parent=space.group, elements=tuple(stab.tolist()))
@@ -707,12 +706,14 @@ def fundamental_domain(space, H=None, base_vertex=0):
     k-th center in sorted order; the acting group permutes the cells the
     same way it permutes the centers.
     """
-    label, _ = _orbit_labels(space, H)
+    if not 0 <= base_vertex < space.n:
+        raise PreconditionError(f"base vertex {base_vertex} is not a vertex of the graph")
+    label, _, starts = _orbits(space, H)
     if not space.graph.connected:
         raise DisconnectedGraphError(
             "hop distances are infinite across components"
         )
-    if not is_free(space, H):
+    if not _free(space, H, starts):
         raise NonFreeActionError("Dirichlet cells need a free action")
     # the action is free, so the centers h v are the orbit of v
     centers = np.flatnonzero(label == label[base_vertex]).tolist()

@@ -299,11 +299,11 @@ def averaging_projector(perms, n):
 
 
 def is_free(perms):
-    """True iff no row of ``perms`` other than the identity fixes a point."""
-    identity = list(range(len(perms[0])))
-    return not any(
-        row[v] == v for row in perms if list(row) != identity for v in range(len(row))
-    )
+    """True iff no row of ``perms`` but the first fixes a point.  The rows
+    are the actions of a group's elements, the identity's first, so an
+    element other than the identity that acts trivially fixes every point
+    and the action is not free."""
+    return not any(row[v] == v for row in perms[1:] for v in range(len(row)))
 
 
 def isotypic_counts(vectors, cluster_sizes, rep_perms, class_sizes, table, order, tol=1e-6):

@@ -620,6 +620,24 @@ def test_heat_audit(capsys):
     }
 
 
+def test_heat_audit_reads_the_indicators_of_its_inputs(capsys):
+    # off the default grid the audit keeps the quotients' indicators as the
+    # inputs report them: a refit on the default grid read "inconclusive"
+    argv = [
+        "heat",
+        "--model", "interval:0.05", "--model", "interval:0.05",
+        "--model", "circle:0.1", "--model", "circle:0.1",
+        "--audit", "2", "2", "--t-lo", "1e-5", "--t-hi", "1e-4",
+    ]
+    code, report = run_cli(argv, capsys)
+    assert code == 0
+    audit = report["audibility"]
+    assert audit["indicator_1"] == report["inputs"][0]["indicator"]
+    assert audit["indicator_2"] == report["inputs"][1]["indicator"]
+    assert audit["indicator_1"]["verdict"] == "singular"
+    assert audit["singular_agree"] is True
+
+
 def test_heat_audit_needs_four_inputs(capsys):
     code, report = run_cli(
         ["heat", "--model", "circle:6.28", "--audit", "2", "2"], capsys

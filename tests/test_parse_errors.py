@@ -5,7 +5,7 @@ numbers."""
 import pytest
 
 import sunadalab as sl
-from sunadalab import NotASubgroupError, ParseError
+from sunadalab import GroupSizeError, NotASubgroupError, ParseError
 
 Z3_GROUP = "degree 3\n(0 1 2)\n"
 
@@ -35,6 +35,17 @@ def test_group_file_error(tmp_path, text, line, detail):
     assert str(exc_info.value) == f"{path}:{line}: {detail}"
     assert exc_info.value.line == line
     assert exc_info.value.path == path
+
+
+def test_group_file_degree_past_the_max_order(tmp_path):
+    # refused at the header, before the malformed generator line is read
+    path = _write(tmp_path, "g.group", "degree 400000000\n(0 x)\n")
+    with pytest.raises(GroupSizeError) as exc_info:
+        sl.load_group_file(path)
+    assert str(exc_info.value) == "degree 400000000 exceeds max order 6324"
+    path = _write(tmp_path, "g.group", "degree 6324\n(0 x)\n")
+    with pytest.raises(ParseError):
+        sl.load_group_file(path)
 
 
 def test_empty_group_file(tmp_path):

@@ -102,6 +102,14 @@ def test_max_order_is_the_dense_cap():
     assert permgrp.MAX_ORDER == math.isqrt(int(permgrp.MAX_DENSE_ENTRIES)) == 6324
 
 
+def test_degree_is_capped_at_the_max_order():
+    # the closure's image matrix is |G| x degree
+    assert generate_group(6324, []).degree == 6324
+    with pytest.raises(GroupSizeError) as info:
+        generate_group(6325, [])
+    assert str(info.value) == "degree 6325 exceeds max order 6324"
+
+
 def test_library_closure_stops_at_the_cap(monkeypatch):
     # S7 x C2 has order 10080: every library caller, not only the command
     # line, is refused before the |G| x |G| table is built
@@ -310,10 +318,12 @@ def test_s5_has_156_subgroups():
 @pytest.mark.parametrize(
     "make, search, closures, count",
     [
+        (lambda: sl.load_bundled_group("s4"), sl.all_subgroups, 25, 30),
+        (lambda: sl.load_bundled_group("aff8"), sl.all_subgroups, 123, 58),
         (_psl32, lambda G, b: sl.subgroups_of_order(G, 24, budget=b), 65, 14),
         (_s5, lambda G, b: sl.all_subgroups(G, budget=b), 85, 156),
     ],
-    ids=["psl32-order-24", "s5-all"],
+    ids=["s4-all", "aff8-all", "psl32-order-24", "s5-all"],
 )
 def test_budget_is_exact(make, search, closures, count):
     G = make()

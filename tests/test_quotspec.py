@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import tracemalloc
 import weakref
 
@@ -456,13 +457,14 @@ def test_pair_orbits_match_search_oracle(groups):
         assert qs._pair_orbits(space.vertex_perms, space.n).tolist() == want
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(1, 5).flatmap(
-        lambda n: st.tuples(st.just(n), st.lists(st.permutations(list(range(n))), max_size=3))
-    ),
-    st.data(),
+# a small random group, as (degree, generator image lists)
+_RANDOM_GROUPS = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.permutations(list(range(n))), max_size=3))
 )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_RANDOM_GROUPS, st.data())
 def test_pair_orbits_match_search_oracle_on_random_groups(degree_gens, data):
     degree, gens = degree_gens
     G = sl.generate_group(degree, [sl.Permutation(g) for g in gens])
@@ -474,9 +476,29 @@ def test_pair_orbits_match_search_oracle_on_random_groups(degree_gens, data):
     assert qs._pair_orbits(space.vertex_perms, space.n).tolist() == want
 
 
-def test_seeded_weights_match_the_all_rows_numbering(monkeypatch, groups):
-    # coset_gspace and perturb_invariant_weights number the pair orbits
-    # from the generator rows; with every row they must draw the same bits
+@settings(max_examples=40, deadline=None)
+@given(_RANDOM_GROUPS, st.data())
+def test_orbit_record_matches_search_oracle_on_random_groups(degree_gens, data):
+    # the coset spaces of one to three subgroups, under the whole group and
+    # under one to three subgroups: often neither free nor transitive
+    degree, gens = degree_gens
+    G = sl.generate_group(degree, [sl.Permutation(g) for g in gens])
+    some_subgroups = st.lists(st.sampled_from(sl.all_subgroups(G)), min_size=1, max_size=3)
+    space = qs.coset_gspace(G, data.draw(some_subgroups))
+    for H in [None] + data.draw(some_subgroups):
+        rows = space.vertex_perms if H is None else space.vertex_perms[H.indices()]
+        assert qs.vertex_orbits(space, H) == oracles.vertex_orbits(rows, space.n)
+        assert qs.is_free(space, H) == oracles.is_free(rows)
+        if qs.is_free(space, H):
+            want = oracles.quotient_weights(space.graph.weights.tolist(), rows, space.n)
+            got = qs.quotient_graph(space, H).weights
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_seeded_weight_bits_are_pinned(groups):
+    # coset_gspace and perturb_invariant_weights draw one weight per orbit
+    # of vertex pairs in the order of the orbits' numbers, so this digest
+    # moves if the pair-orbit numbering or the draws change
     cases = [(qs.cayley_graph(_psl32()), None)]
     for name in ("s4", "aff8"):
         G = groups[name]
@@ -485,18 +507,15 @@ def test_seeded_weights_match_the_all_rows_numbering(monkeypatch, groups):
         cases += [(G, [H]) for H in subs[:: max(1, len(subs) // 4)]]
         cases.append((G, [subs[0], subs[-1], subs[len(subs) // 2]]))
 
-    def draw():
-        out = []
-        for seed, (base, subgroups) in enumerate(cases):
-            if subgroups is not None:
-                base = qs.coset_gspace(base, subgroups, weight_seed=seed)
-                out.append(base.graph.weights.tobytes())
-            out.append(qs.perturb_invariant_weights(base, seed=seed).graph.weights.tobytes())
-        return out
-
-    from_generators = draw()
-    monkeypatch.setattr(qs, "_generator_rows", lambda G: list(range(G.order)))
-    assert draw() == from_generators
+    digest = hashlib.sha256()
+    for seed, (base, subgroups) in enumerate(cases):
+        if subgroups is not None:
+            base = qs.coset_gspace(base, subgroups, weight_seed=seed)
+            digest.update(base.graph.weights.tobytes())
+        digest.update(qs.perturb_invariant_weights(base, seed=seed).graph.weights.tobytes())
+    assert digest.hexdigest() == (
+        "3e2aab043de3efcc556a48a0d661d15a32b04f5b26d3941e9535b22639fdc4ad"
+    )
 
 
 def test_one_laplacian_eigh_per_gspace(monkeypatch, aff8_triple):
@@ -777,6 +796,13 @@ def test_dirichlet_cells_c6(c6_with_z3):
     assert cells.centers == (0, 2, 4)
     assert cells.cells == ((0,), (2,), (4,))
     assert cells.boundary == (1, 3, 5)
+
+
+@pytest.mark.parametrize("base_vertex", [-1, 3])
+def test_dirichlet_refuses_a_base_vertex_outside_the_graph(base_vertex):
+    c3 = sl.generate_group(3, [sl.parse_cycles("(0 1 2)", 3)])
+    with pytest.raises(PreconditionError, match=f"base vertex {base_vertex} is not a vertex"):
+        qs.fundamental_domain(qs.cayley_graph(c3), base_vertex=base_vertex)
 
 
 def test_dirichlet_requires_connected(s3):
